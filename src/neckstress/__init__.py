@@ -49,7 +49,6 @@ from .fem import (
     gradient_sq_integral,
     interpolate,
     max_gradient,
-    solve_dirichlet,
 )
 from .geometry import (
     ChartError,

@@ -12,11 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import asymptotics as asy
-from .fem import export_field
 from .harness import (
     ExperimentConfig,
     compare_oracles,
@@ -40,13 +40,11 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--r0", type=float, help="flat-set radius (flat)")
     p.add_argument("--kappa0", type=float)
     p.add_argument("--eps-list", dest="eps_list", help="comma-separated, decreasing")
-    p.add_argument("--phi", help="affine-x2 | affine-x2x2 | rigid:<a> | zero")
+    p.add_argument("--phi", help="affine-x2 | affine-x2x2 | shear-twist | rigid:<a> | zero")
     p.add_argument("--mesh-budget", dest="max_cells", type=int)
     p.add_argument("--layers", dest="n_layers", type=int)
     p.add_argument("--budget-scale", dest="budget_scale", type=float)
     p.add_argument("--tol", dest="solver_tol", type=float)
-    p.add_argument("--solver", dest="solver_method", choices=["pcg", "direct"])
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", dest="out", help="output path")
 
 
@@ -55,8 +53,7 @@ def _config_from_args(args) -> ExperimentConfig:
     if args.config:
         mapping.update(load_config_file(args.config))
     for key in ("profile", "dim", "m", "r0", "kappa0", "eps_list", "phi",
-                "max_cells", "n_layers", "budget_scale", "solver_tol",
-                "solver_method", "seed"):
+                "max_cells", "n_layers", "budget_scale", "solver_tol"):
         val = getattr(args, key, None)
         if val is not None:
             mapping[key] = val
@@ -108,7 +105,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "solve":
-        config = _config_from_args(args)
+        config = replace(_config_from_args(args), out_field=args.export_field)
         row = run_point(config, args.eps)
         for key in ("status", "n_dofs", "max_grad_u", "argmax_x1", "a11_11",
                     "a11_33", "cdiff_1", "cdiff_3", "sys_residual",
@@ -118,16 +115,6 @@ def main(argv=None) -> int:
             write_csv([row], args.out)
             print(f"wrote {args.out}")
         if args.export_field and row["status"] == "ok":
-            # re-run retaining the field: run_point keeps rows lean on purpose
-            from .decomposition import (assemble_system, reconstruct,
-                                        solve_cell_problems, solve_coefficients)
-            from .harness import resolve_phi
-            profile = config.profile_for(args.eps)
-            mesh = build_mesh(profile, config.grading())
-            cells = solve_cell_problems(mesh, config.elastic(),
-                                        resolve_phi(config.phi), config.solver())
-            system = solve_coefficients(assemble_system(config.elastic(), cells))
-            export_field(reconstruct(cells, system), args.export_field)
             print(f"wrote {args.export_field}")
         return 0 if row["status"] == "ok" else 1
 

@@ -27,6 +27,11 @@ from .meshing import BoundaryTag, Mesh, FLOAT_FMT
 _QP = np.array([[1.0 / 6.0, 1.0 / 6.0], [2.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 2.0 / 3.0]])
 _QW = np.array([1.0 / 6.0, 1.0 / 6.0, 1.0 / 6.0])
 
+# PCG iteration budget and incomplete-LU preconditioner settings
+_PCG_MAXITER = 300
+_ILU_DROP_TOL = 1e-5
+_ILU_FILL_FACTOR = 20.0
+
 # sample points for per-cell gradient extrema: vertices and edge midpoints
 _SAMPLE_BARY = np.array([
     [0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
@@ -189,20 +194,16 @@ class SolveReport:
     rel_residual: float
     method: str
     wall_time: float
-    bc_error: float = 0.0
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """PCG with an incomplete-LU preconditioner by default; falls back to a
-    direct sparse factorization when the iteration budget is exhausted
-    (conditioning in the neck degrades like 1/eps)."""
+    """Relative residual target of the PCG solve (incomplete-LU
+    preconditioner); a direct sparse factorization takes over when the
+    iteration budget is exhausted (conditioning in the neck degrades like
+    1/eps)."""
 
-    method: str = "pcg"          # "pcg" | "direct"
     tol: float = 1e-10
-    maxiter: int = 300
-    ilu_drop_tol: float = 1e-5
-    ilu_fill_factor: float = 20.0
 
 
 @dataclass
@@ -231,10 +232,6 @@ class DisplacementField:
 
     def __sub__(self, other):
         return self._binop(other, np.subtract, f"{self.name}-{other.name}")
-
-    def scaled(self, s: float, name: str | None = None):
-        return DisplacementField(self.space, s * self.values, self.order,
-                                 name or f"{s}*{self.name}")
 
 
 def _evaluate_bc(bc_spec, points: np.ndarray) -> np.ndarray:
@@ -288,8 +285,8 @@ class DirichletSolver:
 
     def _precond(self):
         if self._ilu_op is None:
-            ilu = spla.spilu(self.a_ff, drop_tol=self.config.ilu_drop_tol,
-                             fill_factor=self.config.ilu_fill_factor)
+            ilu = spla.spilu(self.a_ff, drop_tol=_ILU_DROP_TOL,
+                             fill_factor=_ILU_FILL_FACTOR)
             self._ilu_op = spla.LinearOperator(self.a_ff.shape, ilu.solve)
         return self._ilu_op
 
@@ -311,31 +308,28 @@ class DirichletSolver:
         rhs = -self.a_fb @ gb
         rhs_norm = float(np.linalg.norm(rhs))
 
-        method = self.config.method
         iterations = 0
-        used = method
         if rhs_norm == 0.0:
             x = np.zeros(self.fdofs.size)
             used = "trivial"
-        elif method == "pcg" and not self._pcg_given_up:
+        elif self._pcg_given_up:
+            x = self._direct().solve(rhs)
+            used = "direct"
+        else:
             count = [0]
 
             def _cb(_):
                 count[0] += 1
 
             x, info = spla.cg(self.a_ff, rhs, rtol=self.config.tol, atol=0.0,
-                              maxiter=self.config.maxiter, M=self._precond(),
+                              maxiter=_PCG_MAXITER, M=self._precond(),
                               callback=_cb)
             iterations = count[0]
+            used = "pcg"
             if info != 0:
                 self._pcg_given_up = True
                 x = self._direct().solve(rhs)
                 used = "pcg->direct"
-            else:
-                used = "pcg"
-        else:
-            x = self._direct().solve(rhs)
-            used = "direct"
 
         res = 0.0
         if rhs_norm > 0.0:
@@ -356,13 +350,6 @@ class DirichletSolver:
             raise FemError(
                 f"linear solve for {name!r} did not reach tolerance: residual {res:.3e}")
         return field, report
-
-
-def solve_dirichlet(mesh: Mesh, params: ElasticParams, bc: dict,
-                    config: SolverConfig | None = None,
-                    name: str = "v") -> tuple[DisplacementField, SolveReport]:
-    """One-shot Galerkin solve of the elasticity Dirichlet problem."""
-    return DirichletSolver(mesh, params, config).solve(bc, name)
 
 
 def interpolate(mesh_or_space, fn, name: str = "interp") -> DisplacementField:

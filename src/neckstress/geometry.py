@@ -136,12 +136,6 @@ class NeckProfile:
         unit = math.pi ** (k / 2.0) / math.gamma(k / 2.0 + 1.0)
         return unit * self.r0 ** k
 
-    def gap_scale(self) -> float:
-        """Lateral length scale over which the gap doubles from its minimum."""
-        if self.kind is ProfileKind.POWER:
-            return (self.epsilon / self.kappa0) ** (1.0 / self.m)
-        return math.sqrt(self.epsilon / self.kappa0)
-
 
 def make_profile(
     kind,

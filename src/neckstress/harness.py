@@ -31,6 +31,7 @@ from .fem import (
     Region,
     SolverConfig,
     boundary_traction_moment,
+    export_field,
     gradient_sq_integral,
     max_gradient,
 )
@@ -85,13 +86,11 @@ class ExperimentConfig:
     radial_ratio: float = 1.4
     max_cells: int = 200_000
     budget_scale: float = 1.0
-    solver_method: str = "pcg"
     solver_tol: float = 1e-10
-    solver_maxiter: int = 300
     neck_measure_frac: float = 0.95
-    seed: int = 0
     out_csv: str | None = None
     out_json: str | None = None
+    out_field: str | None = None
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_list)
@@ -114,15 +113,14 @@ class ExperimentConfig:
             dx_min_frac=self.dx_min_frac, dx_max_frac=self.dx_max_frac,
             arc_frac=self.arc_frac, n_radial=self.n_radial,
             radial_ratio=self.radial_ratio, max_cells=self.max_cells,
-            budget_scale=self.budget_scale, seed=self.seed,
+            budget_scale=self.budget_scale,
         )
 
     def elastic(self) -> ElasticParams:
         return ElasticParams(self.lam, self.mu, self.dim)
 
     def solver(self) -> SolverConfig:
-        return SolverConfig(method=self.solver_method, tol=self.solver_tol,
-                            maxiter=self.solver_maxiter)
+        return SolverConfig(tol=self.solver_tol)
 
     def geometry_for_rates(self):
         if self.kind == "flat" and self.r0 > 0.0:
@@ -164,7 +162,8 @@ def run_point(config: ExperimentConfig, eps: float) -> dict:
     """Solve the whole pipeline at one gap width and measure everything.
 
     Returns a CSV row dict; failures are recorded in-row with status
-    "error" so a sweep can continue."""
+    "error" so a sweep can continue.  With ``config.out_field`` set, the
+    reconstructed field is also exported there."""
     row = {k: float("nan") for k in CSV_COLUMNS}
     row["eps"] = eps
     row["status"] = "ok"
@@ -175,7 +174,7 @@ def run_point(config: ExperimentConfig, eps: float) -> dict:
     except Exception as exc:  # recorded, not raised: sweeps must continue
         row["status"] = "error"
         row["message"] = f"{type(exc).__name__}: {exc}"
-        logger.warning("eps=%.3e failed: %s", eps, row["message"])
+        logger.exception("eps=%.3e failed: %s", eps, row["message"])
     return row
 
 
@@ -219,6 +218,8 @@ def _measure_point(config: ExperimentConfig, eps: float, row: dict):
     row["maxgrad_v11"], _ = max_gradient(cells.v[(1, 1)], region)
     row["solver_iters"] = max(r.iterations for r in cells.reports.values())
     row["solver_method"] = cells.reports["v3"].method
+    if config.out_field:
+        export_field(u, config.out_field)
 
 
 def run_sweep(config: ExperimentConfig) -> list[dict]:
@@ -573,8 +574,8 @@ _CONFIG_FIELD_TYPES = {
     "mu": float, "n_layers": int, "dx_min_frac": float,
     "dx_max_frac": float, "arc_frac": float, "n_radial": int,
     "radial_ratio": float, "max_cells": int, "budget_scale": float,
-    "solver_method": str, "solver_tol": float, "solver_maxiter": int,
-    "neck_measure_frac": float, "seed": int, "out_csv": str, "out_json": str,
+    "solver_tol": float, "neck_measure_frac": float,
+    "out_csv": str, "out_json": str,
 }
 
 

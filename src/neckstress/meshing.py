@@ -60,8 +60,8 @@ class GradingConfig:
     ``dx_min_frac`` sets the finest neck column width as a fraction of the
     profile's gap length scale; ``dx_max_frac`` and ``arc_frac`` are caps
     relative to r_neck.  ``budget_scale`` refines everything uniformly
-    (budget x4 corresponds to budget_scale = 2).  ``seed`` is recorded for
-    the determinism contract; generation itself is deterministic.
+    (budget x4 corresponds to budget_scale = 2).  Generation is
+    deterministic.
     """
 
     n_layers: int = 4
@@ -72,7 +72,6 @@ class GradingConfig:
     radial_ratio: float = 1.4
     max_cells: int = 200_000
     budget_scale: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_layers < 1:
@@ -119,7 +118,6 @@ class GradingReport:
     n_cells: int = 0
     n_neck_cells: int = 0
     min_layers: int = 0
-    max_layers: int = 0
     min_quality: float = 0.0
     dx_min: float = 0.0
     dx_max: float = 0.0
@@ -426,7 +424,6 @@ def build_mesh(profile: NeckProfile, config: GradingConfig | None = None) -> Mes
         n_cells=all_cells.shape[0],
         n_neck_cells=neck_cells.shape[0],
         min_layers=layers,
-        max_layers=layers,
         min_quality=float(triangle_quality(all_nodes, all_cells).min()),
         dx_min=float(dx.min()),
         dx_max=float(dx.max()),
@@ -445,7 +442,6 @@ def build_mesh(profile: NeckProfile, config: GradingConfig | None = None) -> Mes
         "r0": profile.r0,
         "r_neck": profile.r_neck,
         "outer_radius": profile.outer_radius,
-        "seed": config.seed,
     }
     mesh = Mesh(all_nodes, all_cells, edges, tags, report, meta)
     validate_mesh(mesh)
@@ -569,7 +565,6 @@ def refine_uniform(mesh: Mesh, profile: NeckProfile | None = None) -> Mesh:
         n_cells=new_cells.shape[0],
         n_neck_cells=meta["n_neck_cells"],
         min_layers=2 * mesh.grading_report.min_layers,
-        max_layers=2 * mesh.grading_report.max_layers,
         min_quality=float(triangle_quality(new_nodes, new_cells).min()),
         dx_min=0.5 * mesh.grading_report.dx_min,
         dx_max=0.5 * mesh.grading_report.dx_max,
@@ -634,7 +629,7 @@ def load_mesh(path: str) -> Mesh:
     meta = {}
     for r in _block("meta"):
         k, v = (s.strip() for s in r.split("=", 1))
-        if k in ("n_layers", "n_neck_cells", "seed"):
+        if k in ("n_layers", "n_neck_cells"):
             meta[k] = int(v)
         elif k == "profile_kind":
             meta[k] = v
@@ -646,7 +641,6 @@ def load_mesh(path: str) -> Mesh:
         n_cells=cells.shape[0],
         n_neck_cells=int(meta.get("n_neck_cells", 0)),
         min_layers=int(meta.get("n_layers", 0)),
-        max_layers=int(meta.get("n_layers", 0)),
         min_quality=float(triangle_quality(nodes, cells).min()),
     )
     mesh = Mesh(nodes, cells, edges, tags, report, meta)

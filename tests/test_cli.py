@@ -1,5 +1,6 @@
 import json
 
+import neckstress.fem
 from neckstress import load_mesh, read_csv
 from neckstress.cli import main, oracle_table
 
@@ -13,7 +14,16 @@ def test_mesh_subcommand(tmp_path, capsys):
     assert mesh.n_cells > 0
 
 
-def test_solve_subcommand(tmp_path, capsys):
+def test_solve_subcommand(tmp_path, capsys, monkeypatch):
+    # the export reuses the point's solution: one factorization per solve
+    built = []
+    init = neckstress.fem.DirichletSolver.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(neckstress.fem.DirichletSolver, "__init__", counting_init)
     out = tmp_path / "row.csv"
     field = tmp_path / "field.txt"
     rc = main(["solve", "--eps", "1e-2", "--profile", "power", "--m", "2",
@@ -23,7 +33,11 @@ def test_solve_subcommand(tmp_path, capsys):
     assert "max_grad_u" in text
     rows = read_csv(str(out))
     assert len(rows) == 1 and rows[0]["status"] == "ok"
-    assert field.read_text().startswith("# neckstress-field-v1")
+    assert len(built) == 1
+    lines = field.read_text().splitlines()
+    assert lines[0] == "# neckstress-field-v1"
+    dof_lines = [ln for ln in lines if not ln.startswith("#")]
+    assert len(dof_lines) == rows[0]["n_dofs"] / 2
 
 
 def test_sweep_subcommand_with_config(tmp_path, capsys):

@@ -213,6 +213,29 @@ def test_solve_report_fields(power_solver):
     assert rep.wall_time > 0.0
 
 
+def test_pcg_give_up_falls_back_to_direct(power_mesh, params, monkeypatch):
+    bcs = [{BT.INCLUSION_TOP: psi, BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0}
+           for psi in ns.rigid_basis(2)]
+    ref = ns.DirichletSolver(power_mesh, params)
+    expected = [ref.solve(bc)[0] for bc in bcs]
+
+    calls = []
+
+    def give_up(a, b, **kwargs):
+        calls.append(b)
+        return np.zeros_like(b), 1
+
+    monkeypatch.setattr(ns.fem.spla, "cg", give_up)
+    solver = ns.DirichletSolver(power_mesh, params)
+    got = [solver.solve(bc) for bc in bcs]
+    assert len(calls) == 1
+    assert [rep.method for _, rep in got] == ["pcg->direct", "direct", "direct"]
+    assert got[0][1].rel_residual <= 1e-10
+    for (f, _), e in zip(got, expected):
+        scale = np.abs(e.values).max()
+        assert np.abs(f.values - e.values).max() <= 1e-8 * scale
+
+
 def test_energy_integral_closed_form_linear_field(power_mesh):
     """Constant-strain field: energy = (lam*tr(e)^2 + 2*mu*|e|^2)*area."""
     params = ns.ElasticParams(1.3, 0.8, 2)

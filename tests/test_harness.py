@@ -104,12 +104,16 @@ def test_run_sweep_rows(fast_rows):
         assert r["sys_residual"] <= 1e-10
 
 
-def test_failures_recorded_in_row():
+def test_failures_recorded_in_row(caplog):
     bad = replace(FAST, eps_list=(1e-2, 1e-3), max_cells=300)
-    rows = ns.run_sweep(bad)
+    with caplog.at_level("ERROR", logger="neckstress.harness"):
+        rows = ns.run_sweep(bad)
     assert len(rows) == 2
     assert all(r["status"] == "error" for r in rows)
     assert all("MeshingError" in r["message"] for r in rows)
+    failed = [r for r in caplog.records if r.name == "neckstress.harness"]
+    assert len(failed) == 2
+    assert all(r.exc_info and r.exc_info[0].__name__ == "MeshingError" for r in failed)
 
 
 def test_csv_roundtrip(tmp_path, fast_rows):
@@ -193,6 +197,15 @@ def test_config_file_rejects_garbage(tmp_path):
         load_config_file(str(path))
     with pytest.raises(HarnessError):
         config_from_mapping({"not_a_key": 1.0})
+
+
+@pytest.mark.parametrize("mapping", [{"solver_method": "direct"}, {"seed": 1},
+                                     {"out_field": "f.txt"}])
+def test_config_rejects_removed_and_output_only_keys(mapping):
+    # the solver path and mesh generation take no method or seed; the
+    # field export path is set by the solve subcommand only
+    with pytest.raises(HarnessError, match="unknown config key"):
+        config_from_mapping(mapping)
 
 
 def test_dumps_csv_deterministic(fast_rows):
