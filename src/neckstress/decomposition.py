@@ -13,6 +13,8 @@ the inclusion boundaries.  That condition is the symmetric linear system
 
 whose Gram blocks are computed here by volume energy quadrature (the
 boundary-traction form of the same numbers is kept as a cross-check only).
+Each field's strain is computed once and cached on the field, so the 42 pair
+quadratures of a point cost seven strain evaluations plus the pairwise sums.
 """
 
 from __future__ import annotations
@@ -107,10 +109,11 @@ class CoefficientSystem:
 def assemble_system(params: ElasticParams, cells: CellSolutions) -> CoefficientSystem:
     """Fill the Gram blocks a_ij and loads b_j by volume energy quadrature.
 
-    Each unordered pair is integrated twice (both argument orders) so the
-    recorded asymmetry defect reflects real quadrature/assembly noise; the
-    blocks are then symmetrized.  A defect above 1e-6 relative indicates a
-    discretization fault and raises.
+    Strains are computed once per field (``DisplacementField.strain``), but
+    each unordered pair is still integrated in both argument orders, and the
+    recorded asymmetry defect compares the two; the blocks are then
+    symmetrized.  A defect above 1e-6 relative indicates a discretization
+    fault and raises.
     """
     n = cells.n_alpha
     a = {}
@@ -201,7 +204,7 @@ def reconstruct(cells: CellSolutions, system: CoefficientSystem,
     for al in range(1, cells.n_alpha + 1):
         vals = vals + system.c1[al - 1] * cells.v[(1, al)].values
         vals = vals + system.c2[al - 1] * cells.v[(2, al)].values
-    return DisplacementField(cells.v3.space, vals, 2, name)
+    return DisplacementField(cells.v3.space, vals, name)
 
 
 def sum_field_check(cells: CellSolutions, region: Region) -> dict:

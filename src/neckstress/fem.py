@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.spatial import cKDTree
 
 from .elasticity import ElasticParams, RigidMotion
 from .geometry import NeckProfile
@@ -133,7 +133,6 @@ class P2Space:
         self.dirichlet_scalar = np.unique(np.concatenate(
             [v for v in self._tag_dofs.values()]))
 
-        self._tree = None
         self._stiffness: dict[tuple[float, float], sp.csr_matrix] = {}
 
     @classmethod
@@ -149,12 +148,6 @@ class P2Space:
             return self._tag_dofs[int(tag)]
         except KeyError:
             raise FemError(f"unknown boundary tag {tag!r}") from None
-
-    @property
-    def tree(self) -> cKDTree:
-        if self._tree is None:
-            self._tree = cKDTree(self.mesh.cell_centroids())
-        return self._tree
 
     def stiffness(self, params: ElasticParams) -> sp.csr_matrix:
         key = (params.lam, params.mu)
@@ -206,18 +199,34 @@ class SolverConfig:
     tol: float = 1e-10
 
 
-@dataclass
+def _strain(space: P2Space, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric gradient e(u) at the quadrature points, (m, q, 2, 2), and
+    its trace, (m, q)."""
+    g = np.einsum("mai,mqaj->mqij", values[space.cell_dofs], space.grad_q)
+    e = 0.5 * (g + g.swapaxes(2, 3))
+    return e, e[:, :, 0, 0] + e[:, :, 1, 1]
+
+
+@dataclass(frozen=True)
 class DisplacementField:
-    """Vector P2 field: per-scalar-dof displacement, immutable by convention."""
+    """Vector P2 field: per-scalar-dof displacement.  Immutable: attributes
+    cannot be rebound and ``values`` must not be written in place, which is
+    what lets ``strain`` be computed on first use and cached."""
 
     space: P2Space
     values: np.ndarray          # (n_scalar, 2)
-    order: int = 2
     name: str = "field"
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
             raise FemError(f"field {self.name!r} contains non-finite values")
+
+    @cached_property
+    def strain(self) -> tuple[np.ndarray, np.ndarray]:
+        """(e(u), tr e(u)) at the quadrature points, computed once; read-only."""
+        e, tr = _strain(self.space, self.values)
+        e.flags.writeable = tr.flags.writeable = False
+        return e, tr
 
     def vec(self) -> np.ndarray:
         return self.values.reshape(-1)
@@ -225,7 +234,7 @@ class DisplacementField:
     def _binop(self, other, op, name):
         if other.space is not self.space:
             raise FemError("fields live on different meshes")
-        return DisplacementField(self.space, op(self.values, other.values), self.order, name)
+        return DisplacementField(self.space, op(self.values, other.values), name)
 
     def __add__(self, other):
         return self._binop(other, np.add, f"{self.name}+{other.name}")
@@ -338,7 +347,7 @@ class DirichletSolver:
         full = np.zeros(2 * space.n_scalar)
         full[self.bdofs] = gb
         full[self.fdofs] = x
-        field = DisplacementField(space, full.reshape(-1, 2), 2, name)
+        field = DisplacementField(space, full.reshape(-1, 2), name)
         report = SolveReport(
             n_dof=self.fdofs.size,
             iterations=iterations,
@@ -355,7 +364,7 @@ class DirichletSolver:
 def interpolate(mesh_or_space, fn, name: str = "interp") -> DisplacementField:
     space = mesh_or_space if isinstance(mesh_or_space, P2Space) else P2Space.get(mesh_or_space)
     vals = _evaluate_bc(fn, space.dof_coords)
-    return DisplacementField(space, vals, 2, name)
+    return DisplacementField(space, vals, name)
 
 
 # ---------------------------------------------------------------------------
@@ -409,36 +418,22 @@ def _grads_at(space: P2Space, values: np.ndarray, cells: np.ndarray,
 
 
 def gradient_at(field: DisplacementField, point) -> np.ndarray:
-    """Displacement gradient [du_i/dx_j] at a point inside the shell."""
+    """Displacement gradient [du_i/dx_j] at a point inside the shell.
+
+    Of the cells containing the point (barycentric tolerance 1e-10), the one
+    with the nearest centroid is used, the lowest index on ties."""
     space = field.space
     pt = np.asarray(point, dtype=float)
-    k = min(64, space.mesh.n_cells)
-    _, cand = space.tree.query(pt, k=k)
-    cand = np.atleast_1d(cand)
-    cell = _locate(space, pt, cand)
-    if cell < 0:
-        cell = _locate(space, pt, np.arange(space.mesh.n_cells))
-    if cell < 0:
-        raise FemError(f"point {pt.tolist()} is outside the meshed domain")
-    v = space.mesh.nodes[space.mesh.cells[cell]]
-    mat = np.stack([v[1] - v[0], v[2] - v[0]], axis=1)
-    xi_eta = np.linalg.solve(mat, pt - v[0])
-    g = _grads_at(space, field.values, np.array([cell]), xi_eta[None, :])
-    return g[0, 0]
-
-
-def _locate(space: P2Space, pt: np.ndarray, cand: np.ndarray) -> int:
+    xi_eta = np.einsum("mij,mi->mj", space.inv_jt, pt - space.p0)
     tol = -1e-10
-    for c in cand:
-        v = space.mesh.nodes[space.mesh.cells[c]]
-        mat = np.stack([v[1] - v[0], v[2] - v[0]], axis=1)
-        try:
-            xi, eta = np.linalg.solve(mat, pt - v[0])
-        except np.linalg.LinAlgError:
-            continue
-        if xi >= tol and eta >= tol and xi + eta <= 1.0 - tol:
-            return int(c)
-    return -1
+    inside = np.nonzero((xi_eta[:, 0] >= tol) & (xi_eta[:, 1] >= tol)
+                        & (xi_eta.sum(axis=1) <= 1.0 - tol))[0]
+    if inside.size == 0:
+        raise FemError(f"point {pt.tolist()} is outside the meshed domain")
+    centroids = space.mesh.nodes[space.mesh.cells[inside]].mean(axis=1)
+    cell = inside[np.argmin(np.sum((centroids - pt) ** 2, axis=1))]
+    g = _grads_at(space, field.values, np.array([cell]), xi_eta[cell][None, :])
+    return g[0, 0]
 
 
 def max_gradient(field: DisplacementField, region: Region) -> tuple[float, np.ndarray]:
@@ -464,25 +459,25 @@ def max_gradient(field: DisplacementField, region: Region) -> tuple[float, np.nd
     return value, where
 
 
+def _region_weights(space: P2Space, region) -> np.ndarray:
+    """Quadrature weights times det J, zeroed outside the region, if any."""
+    if region is None:
+        return space.wdet
+    pts = space.quad_xy.reshape(-1, 2)
+    mask = region.point_mask(pts) if isinstance(region, Region) else region(pts)
+    return space.wdet * mask.reshape(space.wdet.shape)
+
+
 def energy_integral(params: ElasticParams, fa: DisplacementField,
                     fb: DisplacementField, region=None) -> float:
     """int (C e(fa), e(fb)) over the region (default: the whole shell)."""
     if fa.space is not fb.space:
         raise FemError("fields live on different meshes")
     space = fa.space
-    ga = np.einsum("mai,mqaj->mqij", fa.values[space.cell_dofs], space.grad_q)
-    gb = np.einsum("mai,mqaj->mqij", fb.values[space.cell_dofs], space.grad_q)
-    ea = 0.5 * (ga + ga.swapaxes(2, 3))
-    eb = 0.5 * (gb + gb.swapaxes(2, 3))
-    tra = ea[:, :, 0, 0] + ea[:, :, 1, 1]
-    trb = eb[:, :, 0, 0] + eb[:, :, 1, 1]
+    ea, tra = fa.strain
+    eb, trb = fb.strain
     dens = params.lam * tra * trb + 2.0 * params.mu * np.sum(ea * eb, axis=(2, 3))
-    w = space.wdet
-    if region is not None:
-        pts = space.quad_xy.reshape(-1, 2)
-        mask = region.point_mask(pts) if isinstance(region, Region) else region(pts)
-        w = w * mask.reshape(w.shape)
-    return float(np.sum(w * dens))
+    return float(np.sum(_region_weights(space, region) * dens))
 
 
 def gradient_sq_integral(field: DisplacementField, region=None) -> float:
@@ -490,12 +485,7 @@ def gradient_sq_integral(field: DisplacementField, region=None) -> float:
     space = field.space
     g = np.einsum("mai,mqaj->mqij", field.values[space.cell_dofs], space.grad_q)
     dens = np.sum(g * g, axis=(2, 3))
-    w = space.wdet
-    if region is not None:
-        pts = space.quad_xy.reshape(-1, 2)
-        mask = region.point_mask(pts) if isinstance(region, Region) else region(pts)
-        w = w * mask.reshape(w.shape)
-    return float(np.sum(w * dens))
+    return float(np.sum(_region_weights(space, region) * dens))
 
 
 def boundary_traction_moment(params: ElasticParams, field: DisplacementField,

@@ -364,7 +364,8 @@ def _loglog_fit(eps, val):
 
 
 def sweep_summary(config: ExperimentConfig, rows: list[dict]) -> dict:
-    """Fits for the standard measured quantities plus the config echo."""
+    """Fits for the standard measured quantities, the eps and exception
+    type of each failed point, and the config echo."""
     ok = [r for r in rows if r["status"] == "ok"]
     geometry = config.geometry_for_rates()
     summary = {
@@ -372,6 +373,9 @@ def sweep_summary(config: ExperimentConfig, rows: list[dict]) -> dict:
                    for k, v in asdict(config).items()},
         "n_rows": len(rows),
         "n_failed": len(rows) - len(ok),
+        # run_point records failures as "<exception type>: <text>"
+        "failures": [{"eps": r["eps"], "error": r["message"].split(":", 1)[0],
+                      "message": r["message"]} for r in rows if r["status"] != "ok"],
         "fits": {},
     }
     if len(ok) >= 4:
@@ -534,7 +538,7 @@ def patch_energy_profile(config: ExperimentConfig, eps: float,
     tilde_vals = np.zeros_like(coords)
     pts = np.column_stack([x1, x2])
     tilde_vals[inside] = asy.vtilde(profile, basis[0], pts[inside])
-    w = DisplacementField(space, v11.values - tilde_vals, 2, "w")
+    w = DisplacementField(space, v11.values - tilde_vals, "w")
 
     out = []
     for z in z_list:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,27 @@ def test_gram_symmetry_and_spd(power_system):
     assert np.linalg.eigvalsh(s.a11).min() > 0.0
     assert np.all(np.diag(s.a11) > 0.0)
     assert s.asymmetry_defect < 1e-6
+
+
+def test_assemble_system_computes_each_strain_once(params, power_cells, power_system,
+                                                   monkeypatch):
+    cells = replace(power_cells, v={k: replace(f) for k, f in power_cells.v.items()},
+                    v3=replace(power_cells.v3))
+    fields = list(cells.v.values()) + [cells.v3]
+    seen = []
+    strain = ns.fem._strain
+
+    def counting(space, values):
+        seen.append(id(values))
+        return strain(space, values)
+
+    monkeypatch.setattr(ns.fem, "_strain", counting)
+    system = ns.assemble_system(params, cells)
+    assert sorted(seen) == sorted(id(f.values) for f in fields)
+    for name in ("a11", "a12", "a21", "a22", "b1", "b2", "asymmetry_defect"):
+        assert np.array_equal(getattr(system, name), getattr(power_system, name))
+    ns.assemble_system(params, cells)
+    assert len(seen) == len(fields)
 
 
 def test_residuals(power_system):

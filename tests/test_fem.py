@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import neckstress as ns
 from neckstress.fem import FemError
 from neckstress.meshing import BoundaryTag as BT
 
-from conftest import COARSE
+from conftest import COARSE, rng
 
 
 @pytest.mark.parametrize("alpha", [0, 1, 2])
@@ -83,6 +85,37 @@ def test_gradient_at_vbar_interpolant():
 def test_gradient_at_outside_domain(power_mesh, power_cells):
     with pytest.raises(FemError):
         ns.gradient_at(power_cells.v3, np.array([20.0, 0.0]))
+
+
+def _gradient_at_by_scan(field, pt):
+    """Reference for gradient_at: scan every cell, keep those containing the
+    point, take the nearest centroid (the first on ties)."""
+    mesh = field.space.mesh
+    best = None
+    for c in range(mesh.n_cells):
+        v = mesh.nodes[mesh.cells[c]]
+        xi, eta = np.linalg.solve(np.stack([v[1] - v[0], v[2] - v[0]], axis=1), pt - v[0])
+        if xi >= -1e-10 and eta >= -1e-10 and xi + eta <= 1.0 + 1e-10:
+            d = np.sum((v.mean(axis=0) - pt) ** 2)
+            if best is None or d < best[0]:
+                best = (d, c, np.array([[xi, eta]]))
+    if best is None:
+        return None
+    return ns.fem._grads_at(field.space, field.values, np.array([best[1]]), best[2])[0, 0]
+
+
+def test_gradient_at_matches_cell_scan(power_mesh, power_cells):
+    field = power_cells.v[(1, 1)]
+    pts = np.vstack([rng(3).uniform(-5.0, 5.0, (20, 2)),
+                     power_mesh.nodes[np.abs(power_mesh.nodes[:, 0]) < 1e-12][:5]])
+    for pt in pts:
+        ref = _gradient_at_by_scan(field, pt)
+        if ref is None:
+            with pytest.raises(FemError):
+                ns.gradient_at(field, pt)
+        else:
+            g = ns.gradient_at(field, pt)
+            assert np.allclose(g, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
 
 
 def test_max_gradient_rigid(power_profile, power_mesh):
@@ -187,7 +220,7 @@ def test_energy_minimality_vs_explicit_competitor(power_profile, params,
     t = np.clip((np.abs(coords[:, 0]) - 0.6) / 0.2, 0.0, 1.0)[:, None]
     comp_vals = np.where(inside[:, None], (1.0 - t) * neckfield + t * u.values,
                          u.values)
-    competitor = ns.DisplacementField(space, comp_vals, 2, "competitor")
+    competitor = ns.DisplacementField(space, comp_vals, "competitor")
     e_u = ns.energy_integral(params, u, u)
     e_c = ns.energy_integral(params, competitor, competitor)
     assert e_u <= e_c * (1.0 + 1e-10)
@@ -270,3 +303,15 @@ def test_traction_moment_closed_form_constant_stress(power_mesh, power_profile):
 
     got = ns.boundary_traction_moment(params, field, BT.OUTER, lambda pts: pts)
     assert got == pytest.approx(np.trace(sigma) * polygon_area, rel=1e-12)
+
+
+def test_energy_integral_cached_strain_matches_cold(params, power_cells):
+    """Every ordered pair of cell fields integrates to exactly the same value
+    from warm strain caches as from fresh copies of the fields."""
+    fields = [power_cells.v[k] for k in sorted(power_cells.v)] + [power_cells.v3]
+    for f in fields:
+        f.strain                # warm every cache before the pairs
+    for fa in fields:
+        for fb in fields:
+            warm = ns.energy_integral(params, fa, fb)
+            assert warm == ns.energy_integral(params, replace(fa), replace(fb))

@@ -116,6 +116,18 @@ def test_failures_recorded_in_row(caplog):
     assert all(r.exc_info and r.exc_info[0].__name__ == "MeshingError" for r in failed)
 
 
+def test_failures_listed_in_json_summary(tmp_path, fast_rows):
+    out = tmp_path / "sweep.json"
+    bad = replace(FAST, eps_list=(1e-2, 1e-3), max_cells=300, out_json=str(out))
+    rows = ns.run_sweep(bad)
+    summary = json.loads(out.read_text(encoding="utf-8"))
+    assert summary["n_failed"] == 2
+    assert [(f["eps"], f["error"]) for f in summary["failures"]] == [
+        (1e-2, "MeshingError"), (1e-3, "MeshingError")]
+    assert [f["message"] for f in summary["failures"]] == [r["message"] for r in rows]
+    assert ns.sweep_summary(FAST, fast_rows)["failures"] == []
+
+
 def test_csv_roundtrip(tmp_path, fast_rows):
     path = tmp_path / "sweep.csv"
     ns.write_csv(fast_rows, str(path))
