@@ -28,6 +28,7 @@ from .fem import (
     DirichletSolver,
     DisplacementField,
     Region,
+    SolveReport,
     SolverConfig,
     energy_integral,
     max_gradient,
@@ -47,7 +48,7 @@ class CellSolutions:
     params: ElasticParams
     v: dict                     # (i, alpha) -> DisplacementField, 1-based
     v3: DisplacementField
-    reports: dict
+    report: SolveReport
     basis: list
 
     @property
@@ -57,25 +58,21 @@ class CellSolutions:
 
 def solve_cell_problems(mesh: Mesh, params: ElasticParams, phi,
                         solver: SolverConfig | None = None) -> CellSolutions:
-    """Solve all v_i[alpha] and v3 sharing one factorization/preconditioner."""
+    """Solve all v_i[alpha] and v3 in one block solve sharing one
+    preconditioner."""
     basis = rigid_basis(2)
-    ds = DirichletSolver(mesh, params, solver)
-    fields = {}
-    reports = {}
+    keys, bcs, names = [], [], []
     for i, own_tag in ((1, BoundaryTag.INCLUSION_TOP), (2, BoundaryTag.INCLUSION_BOTTOM)):
         other = (BoundaryTag.INCLUSION_BOTTOM if i == 1 else BoundaryTag.INCLUSION_TOP)
         for psi in basis:
-            bc = {own_tag: psi, other: 0.0, BoundaryTag.OUTER: 0.0}
-            f, rep = ds.solve(bc, name=f"v{i}^{psi.index}")
-            fields[(i, psi.index)] = f
-            reports[(i, psi.index)] = rep
-    v3, rep3 = ds.solve(
-        {BoundaryTag.INCLUSION_TOP: 0.0, BoundaryTag.INCLUSION_BOTTOM: 0.0,
-         BoundaryTag.OUTER: phi},
-        name="v3",
-    )
-    reports["v3"] = rep3
-    return CellSolutions(mesh, params, fields, v3, reports, basis)
+            keys.append((i, psi.index))
+            bcs.append({own_tag: psi, other: 0.0, BoundaryTag.OUTER: 0.0})
+            names.append(f"v{i}^{psi.index}")
+    bcs.append({BoundaryTag.INCLUSION_TOP: 0.0, BoundaryTag.INCLUSION_BOTTOM: 0.0,
+                BoundaryTag.OUTER: phi})
+    names.append("v3")
+    fields, report = DirichletSolver(mesh, params, solver).solve(bcs, names)
+    return CellSolutions(mesh, params, dict(zip(keys, fields)), fields[-1], report, basis)
 
 
 @dataclass
@@ -113,7 +110,10 @@ def assemble_system(params: ElasticParams, cells: CellSolutions) -> CoefficientS
     each unordered pair is still integrated in both argument orders, and the
     recorded asymmetry defect compares the two; the blocks are then
     symmetrized.  A defect above 1e-6 relative indicates a discretization
-    fault and raises.
+    fault and raises.  At lam = mu = 1 both orders round alike and the defect
+    is exactly 0, so the blocks and loads are also checked against
+    ``V^T (K V)`` over the seven fields and the assembled stiffness K, which
+    the quadrature equals up to rounding; a gap above 1e-8 relative raises.
     """
     n = cells.n_alpha
     a = {}
@@ -147,6 +147,18 @@ def assemble_system(params: ElasticParams, cells: CellSolutions) -> CoefficientS
                    for be in range(1, n + 1)])
     b2 = np.array([-energy_integral(params, cells.v3, cells.v[(2, be)])
                    for be in range(1, n + 1)])
+
+    fields = [cells.v[(i, al)] for i in (1, 2) for al in range(1, n + 1)] + [cells.v3]
+    v = np.column_stack([f.vec() for f in fields])
+    gram_k = v.T @ (cells.v3.space.stiffness(params) @ v)
+    gram_q = np.block([[a[(1, 1)], a[(1, 2)]], [a[(2, 1)], a[(2, 2)]]])
+    for what, quad, alt in (("Gram", gram_q, gram_k[:-1, :-1]),
+                            ("load", np.concatenate([b1, b2]), -gram_k[-1, :-1])):
+        dev = float(np.abs(quad - alt).max()) / max(float(np.abs(quad).max()), 1e-300)
+        if dev > 1e-8:
+            raise DecompositionError(
+                f"{what} quadrature and V^T K V differ by {dev:.3e} relative; "
+                "discretization fault")
     return CoefficientSystem(
         n_alpha=n, a11=a[(1, 1)], a12=a[(1, 2)], a21=a[(2, 1)], a22=a[(2, 2)],
         b1=b1, b2=b2, asymmetry_defect=defect,

@@ -216,8 +216,8 @@ def _measure_point(config: ExperimentConfig, eps: float, row: dict):
     for al, (val, _) in sums.items():
         row[f"sumgrad_{al}"] = val
     row["maxgrad_v11"], _ = max_gradient(cells.v[(1, 1)], region)
-    row["solver_iters"] = max(r.iterations for r in cells.reports.values())
-    row["solver_method"] = cells.reports["v3"].method
+    row["solver_iters"] = cells.report.iterations
+    row["solver_method"] = cells.report.method
     if config.out_field:
         export_field(u, config.out_field)
 
@@ -526,9 +526,9 @@ def patch_energy_profile(config: ExperimentConfig, eps: float,
     params = config.elastic()
     ds = DirichletSolver(mesh, params, config.solver())
     basis = rigid_basis(2)
-    v11, _ = ds.solve({BoundaryTag.INCLUSION_TOP: basis[0],
-                       BoundaryTag.INCLUSION_BOTTOM: 0.0,
-                       BoundaryTag.OUTER: 0.0}, name="v1^1")
+    (v11,), _ = ds.solve([{BoundaryTag.INCLUSION_TOP: basis[0],
+                           BoundaryTag.INCLUSION_BOTTOM: 0.0,
+                           BoundaryTag.OUTER: 0.0}], ["v1^1"])
 
     space = v11.space
     coords = space.dof_coords

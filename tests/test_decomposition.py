@@ -146,11 +146,9 @@ def test_frame_consistency_translation_block(power_profile, params):
         ds = ns.DirichletSolver(m, params_)
         basis = ns.rigid_basis(2)
         out = np.empty((2, 2))
-        fields = []
-        for al in range(2):
-            f, _ = ds.solve({BT.INCLUSION_TOP: basis[al],
-                             BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0})
-            fields.append(f)
+        fields, _ = ds.solve([{BT.INCLUSION_TOP: basis[al],
+                               BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0}
+                              for al in range(2)])
         for a in range(2):
             for b in range(2):
                 out[a, b] = ns.energy_integral(params_, fields[a], fields[b])
@@ -159,3 +157,18 @@ def test_frame_consistency_translation_block(power_profile, params):
     blk0 = trans_block(mesh)
     blk1 = trans_block(shifted)
     assert np.abs(blk0 - blk1).max() < 1e-8 * np.abs(blk0).max()
+
+
+def test_gram_cross_check_catches_a_perturbed_strain(params, power_cells, monkeypatch):
+    # V^T K V does not read the strains, so a strain fault of 1e-6 must raise
+    cells = replace(power_cells, v={k: replace(f) for k, f in power_cells.v.items()},
+                    v3=replace(power_cells.v3))
+    strain = ns.fem._strain
+
+    def perturbed(space, values):
+        e, tr = strain(space, values)
+        return e * (1.0 + 1e-6), tr
+
+    monkeypatch.setattr(ns.fem, "_strain", perturbed)
+    with pytest.raises(DecompositionError, match="V\\^T K V"):
+        ns.assemble_system(params, cells)

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import neckstress as ns
 from neckstress.fem import FemError
@@ -16,23 +17,28 @@ def test_rigid_bc_reproduced_exactly(power_mesh, params, alpha):
     # solution; reproduce it to 1e-10, which needs a tight linear solve
     solver = ns.DirichletSolver(power_mesh, params, ns.SolverConfig(tol=1e-13))
     psi = ns.rigid_basis(2)[alpha]
-    f, rep = solver.solve({BT.INCLUSION_TOP: psi, BT.INCLUSION_BOTTOM: psi,
-                           BT.OUTER: psi})
+    (f,), rep = solver.solve([{BT.INCLUSION_TOP: psi, BT.INCLUSION_BOTTOM: psi,
+                               BT.OUTER: psi}])
     exact = ns.interpolate(power_mesh, psi)
     assert np.abs(f.values - exact.values).max() < 1e-10
     assert rep.rel_residual <= 1e-11
 
 
 def test_zero_bc_gives_zero(power_solver):
-    f, rep = power_solver.solve({BT.INCLUSION_TOP: 0.0, BT.INCLUSION_BOTTOM: 0.0,
-                                 BT.OUTER: 0.0})
+    (f,), rep = power_solver.solve([{BT.INCLUSION_TOP: 0.0, BT.INCLUSION_BOTTOM: 0.0,
+                                     BT.OUTER: 0.0}])
     assert np.all(f.values == 0.0)
     assert rep.method == "trivial"
 
 
 def test_bc_must_cover_all_tags(power_solver):
     with pytest.raises(FemError):
-        power_solver.solve({BT.INCLUSION_TOP: 0.0, BT.OUTER: 0.0})
+        power_solver.solve([{BT.INCLUSION_TOP: 0.0, BT.OUTER: 0.0}])
+    with pytest.raises(FemError, match="at least one"):
+        power_solver.solve([])
+    zero = {BT.INCLUSION_TOP: 0.0, BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0}
+    with pytest.raises(FemError, match="one name each"):
+        power_solver.solve([zero], ["a", "b"])
 
 
 def test_v1_gradient_sandwich(power_profile, power_cells):
@@ -182,8 +188,8 @@ def test_h_convergence_under_refinement(power_profile, params):
     energies = []
     for _ in range(3):
         ds = ns.DirichletSolver(mesh, params)
-        v11, _ = ds.solve({BT.INCLUSION_TOP: ns.rigid_basis(2)[0],
-                           BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0})
+        (v11,), _ = ds.solve([{BT.INCLUSION_TOP: ns.rigid_basis(2)[0],
+                               BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0}])
         energies.append(ns.energy_integral(params, v11, v11))
         mesh = ns.refine_uniform(mesh, power_profile)
     e0, e1, e2 = energies
@@ -238,33 +244,99 @@ def test_field_export(tmp_path, power_cells):
 
 
 def test_solve_report_fields(power_solver):
-    f, rep = power_solver.solve({BT.INCLUSION_TOP: ns.rigid_basis(2)[0],
-                                 BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0})
+    (f,), rep = power_solver.solve([{BT.INCLUSION_TOP: ns.rigid_basis(2)[0],
+                                     BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0}])
     assert rep.n_dof > 0
     assert rep.rel_residual <= 1e-10
-    assert rep.method in ("pcg", "direct", "pcg->direct")
+    assert rep.method in ("pcg", "pcg->direct")
     assert rep.wall_time > 0.0
+
+
+def _cell_bcs(phi):
+    """The seven cell-problem data of one point: v1^a, v2^a, then v3."""
+    bcs = [{own: psi, other: 0.0, BT.OUTER: 0.0}
+           for own, other in ((BT.INCLUSION_TOP, BT.INCLUSION_BOTTOM),
+                              (BT.INCLUSION_BOTTOM, BT.INCLUSION_TOP))
+           for psi in ns.rigid_basis(2)]
+    return bcs + [{BT.INCLUSION_TOP: 0.0, BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: phi}]
+
+
+def _cg_oracle(solver, fields):
+    """Each field's free dofs re-solved by one spla.cg call per load, with
+    the preconditioner built from the module constants; (x, iterations)."""
+    spla = ns.fem.spla
+    ilu = spla.spilu(solver.a_ff, drop_tol=ns.fem._ILU_DROP_TOL,
+                     fill_factor=ns.fem._ILU_FILL_FACTOR)
+    m = spla.LinearOperator(solver.a_ff.shape, ilu.solve)
+    out = []
+    for f in fields:
+        rhs = solver.neg_a_fb @ f.vec()[solver.bdofs]
+        count = [0]
+
+        def _cb(_, count=count):
+            count[0] += 1
+
+        x, info = spla.cg(solver.a_ff, rhs, rtol=solver.config.tol, atol=0.0,
+                          maxiter=ns.fem._PCG_MAXITER, M=m, callback=_cb)
+        assert info == 0
+        out.append((x, count[0]))
+    return out
+
+
+def test_block_pcg_equals_one_cg_per_column(power_mesh, params):
+    solver = ns.DirichletSolver(power_mesh, params)
+    fields, rep = solver.solve(_cell_bcs(ns.resolve_phi("shear-twist")))
+    oracle = _cg_oracle(solver, fields)
+    for f, (x, _) in zip(fields, oracle):
+        assert np.array_equal(f.vec()[solver.fdofs], x)
+    assert rep.method == "pcg"
+    assert rep.iterations == max(n for _, n in oracle)
+
+
+def test_block_pcg_applies_ilu_once_per_iteration(power_mesh, params, monkeypatch):
+    solve_calls = []
+    spilu = ns.fem.spla.spilu
+
+    class CountingIlu:
+        def __init__(self, ilu):
+            self._ilu = ilu
+
+        def solve(self, rhs, *args):
+            solve_calls.append(rhs.shape)
+            return self._ilu.solve(rhs, *args)
+
+    monkeypatch.setattr(ns.fem.spla, "spilu",
+                        lambda *a, **kw: CountingIlu(spilu(*a, **kw)))
+    solver = ns.DirichletSolver(power_mesh, params)
+    bcs = _cell_bcs(ns.resolve_phi("affine-x2"))
+    _, rep = solver.solve(bcs)
+    assert len(solve_calls) == rep.iterations > 0
+    assert solve_calls[0] == (solver.fdofs.size, len(bcs))
+
+
+def test_zero_load_column_is_zero_and_leaves_others_unchanged(power_solver):
+    zero = {BT.INCLUSION_TOP: 0.0, BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0}
+    bcs = _cell_bcs(ns.resolve_phi("affine-x2"))[:3]
+    base, rep = power_solver.solve(bcs)
+    got, rep0 = power_solver.solve(bcs[:1] + [zero] + bcs[1:])
+    assert np.all(got[1].values == 0.0)
+    for f, e in zip(got[:1] + got[2:], base):
+        assert np.array_equal(f.values, e.values)
+    assert (rep0.iterations, rep0.rel_residual, rep0.method) == (
+        rep.iterations, rep.rel_residual, rep.method)
 
 
 def test_pcg_give_up_falls_back_to_direct(power_mesh, params, monkeypatch):
     bcs = [{BT.INCLUSION_TOP: psi, BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0}
            for psi in ns.rigid_basis(2)]
-    ref = ns.DirichletSolver(power_mesh, params)
-    expected = [ref.solve(bc)[0] for bc in bcs]
+    expected, _ = ns.DirichletSolver(power_mesh, params).solve(bcs)
 
-    calls = []
-
-    def give_up(a, b, **kwargs):
-        calls.append(b)
-        return np.zeros_like(b), 1
-
-    monkeypatch.setattr(ns.fem.spla, "cg", give_up)
-    solver = ns.DirichletSolver(power_mesh, params)
-    got = [solver.solve(bc) for bc in bcs]
-    assert len(calls) == 1
-    assert [rep.method for _, rep in got] == ["pcg->direct", "direct", "direct"]
-    assert got[0][1].rel_residual <= 1e-10
-    for (f, _), e in zip(got, expected):
+    monkeypatch.setattr(ns.fem, "_PCG_MAXITER", 1)
+    got, rep = ns.DirichletSolver(power_mesh, params).solve(bcs)
+    assert rep.method == "pcg->direct"
+    assert rep.iterations == 1
+    assert rep.rel_residual <= 1e-10
+    for f, e in zip(got, expected):
         scale = np.abs(e.values).max()
         assert np.abs(f.values - e.values).max() <= 1e-8 * scale
 
@@ -315,3 +387,30 @@ def test_energy_integral_cached_strain_matches_cold(params, power_cells):
         for fb in fields:
             warm = ns.energy_integral(params, fa, fb)
             assert warm == ns.energy_integral(params, replace(fa), replace(fb))
+
+
+@pytest.mark.parametrize("lam,mu", [(1.0, 1.0), (2.7, 0.6)])
+def test_stiffness_equals_three_einsum_formula(power_mesh, lam, mu):
+    """The assembled K is == the element matrices built from three separate
+    quadrature sums, lam*div*div + mu*(grad u : grad v + grad u : grad v^T)."""
+    space = ns.fem.P2Space(power_mesh)
+    g, w = space.grad_q, space.wdet
+    a1 = np.einsum("mq,mqac,mqbd->macbd", w, g, g)
+    dot = np.einsum("mq,mqak,mqbk->mab", w, g, g)
+    a3 = np.einsum("mq,mqad,mqbc->macbd", w, g, g)
+    k = lam * a1 + mu * a3
+    k[:, :, 0, :, 0] += mu * dot
+    k[:, :, 1, :, 1] += mu * dot
+    m = g.shape[0]
+    vdofs = np.empty((m, 12), dtype=np.int64)
+    vdofs[:, 0::2] = 2 * space.cell_dofs
+    vdofs[:, 1::2] = 2 * space.cell_dofs + 1
+    n = 2 * space.n_scalar
+    oracle = sp.coo_matrix((k.reshape(m, 12, 12).ravel(),
+                            (np.repeat(vdofs, 12, axis=1).ravel(),
+                             np.tile(vdofs, (1, 12)).ravel())), shape=(n, n)).tocsr()
+    oracle.sum_duplicates()
+    got = space.stiffness(ns.ElasticParams(lam, mu, 2))
+    assert np.array_equal(got.indptr, oracle.indptr)
+    assert np.array_equal(got.indices, oracle.indices)
+    assert np.array_equal(got.data, oracle.data)
