@@ -61,17 +61,15 @@ def solve_cell_problems(mesh: Mesh, params: ElasticParams, phi,
     """Solve all v_i[alpha] and v3 in one block solve sharing one
     preconditioner."""
     basis = rigid_basis(2)
-    keys, bcs, names = [], [], []
+    keys, bcs = [], {}
     for i, own_tag in ((1, BoundaryTag.INCLUSION_TOP), (2, BoundaryTag.INCLUSION_BOTTOM)):
         other = (BoundaryTag.INCLUSION_BOTTOM if i == 1 else BoundaryTag.INCLUSION_TOP)
         for psi in basis:
             keys.append((i, psi.index))
-            bcs.append({own_tag: psi, other: 0.0, BoundaryTag.OUTER: 0.0})
-            names.append(f"v{i}^{psi.index}")
-    bcs.append({BoundaryTag.INCLUSION_TOP: 0.0, BoundaryTag.INCLUSION_BOTTOM: 0.0,
-                BoundaryTag.OUTER: phi})
-    names.append("v3")
-    fields, report = DirichletSolver(mesh, params, solver).solve(bcs, names)
+            bcs[f"v{i}^{psi.index}"] = {own_tag: psi, other: 0.0, BoundaryTag.OUTER: 0.0}
+    bcs["v3"] = {BoundaryTag.INCLUSION_TOP: 0.0, BoundaryTag.INCLUSION_BOTTOM: 0.0,
+                 BoundaryTag.OUTER: phi}
+    fields, report = DirichletSolver(mesh, params, solver).solve(bcs)
     return CellSolutions(mesh, params, dict(zip(keys, fields)), fields[-1], report, basis)
 
 

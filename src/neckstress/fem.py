@@ -342,26 +342,20 @@ class DirichletSolver:
             iterations += 1
         return iterations, active
 
-    def solve(self, bcs: list, names: list | None = None
-              ) -> tuple[list[DisplacementField], SolveReport]:
-        """Solve one Dirichlet problem per entry of ``bcs`` (a dict from each
-        boundary tag to its datum) in one block PCG run.
+    def solve(self, bcs: dict) -> tuple[list[DisplacementField], SolveReport]:
+        """Solve one Dirichlet problem per entry of ``bcs`` (field name ->
+        dict from each boundary tag to its datum) in one block PCG run.
 
-        Returns the fields, named by ``names`` (default ``v0``, ``v1``, ...),
-        and one report for the block: the most iterations any column took,
-        the worst relative residual, and method ``"pcg"``, ``"pcg->direct"``
+        Returns the fields, in the order of ``bcs``, and one report for the
+        block: the most iterations any column took, the worst relative
+        residual, and method ``"pcg"``, ``"pcg->direct"``
         (columns unconverged after the iteration budget are solved by a
         sparse LU factorization) or ``"trivial"`` (every load is zero).  A
         column with zero load never enters the iteration; its free dofs are
         zero.  A residual above ``max(10 tol, 1e-8)`` raises ``FemError``."""
         t0 = time.perf_counter()
         space = self.space
-        if names is None:
-            names = [f"v{j}" for j in range(len(bcs))]
-        if not bcs or len(names) != len(bcs):
-            raise FemError(f"need at least one boundary datum and one name each, "
-                           f"got {len(bcs)} data and {len(names)} names")
-        gbs = [self._boundary_values(bc) for bc in bcs]
+        gbs = [self._boundary_values(bc) for bc in bcs.values()]
         rhs = np.stack([self.neg_a_fb @ gb for gb in gbs])
         rhs_norms = [float(np.linalg.norm(b)) for b in rhs]
         live = [j for j, nb in enumerate(rhs_norms) if nb > 0.0]
@@ -377,7 +371,7 @@ class DirichletSolver:
 
         worst = 0.0
         fields = []
-        for j, (gb, name) in enumerate(zip(gbs, names)):
+        for j, (gb, name) in enumerate(zip(gbs, bcs)):
             if rhs_norms[j] > 0.0:
                 res = float(np.linalg.norm(self.a_ff @ x[j] - rhs[j])) / rhs_norms[j]
                 if res > max(self.config.tol * 10.0, 1e-8):

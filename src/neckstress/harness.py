@@ -526,9 +526,9 @@ def patch_energy_profile(config: ExperimentConfig, eps: float,
     params = config.elastic()
     ds = DirichletSolver(mesh, params, config.solver())
     basis = rigid_basis(2)
-    (v11,), _ = ds.solve([{BoundaryTag.INCLUSION_TOP: basis[0],
-                           BoundaryTag.INCLUSION_BOTTOM: 0.0,
-                           BoundaryTag.OUTER: 0.0}], ["v1^1"])
+    (v11,), _ = ds.solve({"v1^1": {BoundaryTag.INCLUSION_TOP: basis[0],
+                                   BoundaryTag.INCLUSION_BOTTOM: 0.0,
+                                   BoundaryTag.OUTER: 0.0}})
 
     space = v11.space
     coords = space.dof_coords

@@ -146,9 +146,9 @@ def test_frame_consistency_translation_block(power_profile, params):
         ds = ns.DirichletSolver(m, params_)
         basis = ns.rigid_basis(2)
         out = np.empty((2, 2))
-        fields, _ = ds.solve([{BT.INCLUSION_TOP: basis[al],
-                               BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0}
-                              for al in range(2)])
+        fields, _ = ds.solve({f"v1^{al}": {BT.INCLUSION_TOP: basis[al],
+                                           BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0}
+                              for al in range(2)})
         for a in range(2):
             for b in range(2):
                 out[a, b] = ns.energy_integral(params_, fields[a], fields[b])

@@ -17,28 +17,23 @@ def test_rigid_bc_reproduced_exactly(power_mesh, params, alpha):
     # solution; reproduce it to 1e-10, which needs a tight linear solve
     solver = ns.DirichletSolver(power_mesh, params, ns.SolverConfig(tol=1e-13))
     psi = ns.rigid_basis(2)[alpha]
-    (f,), rep = solver.solve([{BT.INCLUSION_TOP: psi, BT.INCLUSION_BOTTOM: psi,
-                               BT.OUTER: psi}])
+    (f,), rep = solver.solve({"psi": {BT.INCLUSION_TOP: psi, BT.INCLUSION_BOTTOM: psi,
+                                      BT.OUTER: psi}})
     exact = ns.interpolate(power_mesh, psi)
     assert np.abs(f.values - exact.values).max() < 1e-10
     assert rep.rel_residual <= 1e-11
 
 
 def test_zero_bc_gives_zero(power_solver):
-    (f,), rep = power_solver.solve([{BT.INCLUSION_TOP: 0.0, BT.INCLUSION_BOTTOM: 0.0,
-                                     BT.OUTER: 0.0}])
+    (f,), rep = power_solver.solve({"zero": {BT.INCLUSION_TOP: 0.0, BT.INCLUSION_BOTTOM: 0.0,
+                                             BT.OUTER: 0.0}})
     assert np.all(f.values == 0.0)
     assert rep.method == "trivial"
 
 
 def test_bc_must_cover_all_tags(power_solver):
     with pytest.raises(FemError):
-        power_solver.solve([{BT.INCLUSION_TOP: 0.0, BT.OUTER: 0.0}])
-    with pytest.raises(FemError, match="at least one"):
-        power_solver.solve([])
-    zero = {BT.INCLUSION_TOP: 0.0, BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0}
-    with pytest.raises(FemError, match="one name each"):
-        power_solver.solve([zero], ["a", "b"])
+        power_solver.solve({"u": {BT.INCLUSION_TOP: 0.0, BT.OUTER: 0.0}})
 
 
 def test_v1_gradient_sandwich(power_profile, power_cells):
@@ -188,8 +183,8 @@ def test_h_convergence_under_refinement(power_profile, params):
     energies = []
     for _ in range(3):
         ds = ns.DirichletSolver(mesh, params)
-        (v11,), _ = ds.solve([{BT.INCLUSION_TOP: ns.rigid_basis(2)[0],
-                               BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0}])
+        (v11,), _ = ds.solve({"v1^1": {BT.INCLUSION_TOP: ns.rigid_basis(2)[0],
+                                       BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0}})
         energies.append(ns.energy_integral(params, v11, v11))
         mesh = ns.refine_uniform(mesh, power_profile)
     e0, e1, e2 = energies
@@ -244,8 +239,8 @@ def test_field_export(tmp_path, power_cells):
 
 
 def test_solve_report_fields(power_solver):
-    (f,), rep = power_solver.solve([{BT.INCLUSION_TOP: ns.rigid_basis(2)[0],
-                                     BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0}])
+    (f,), rep = power_solver.solve({"v1^1": {BT.INCLUSION_TOP: ns.rigid_basis(2)[0],
+                                             BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0}})
     assert rep.n_dof > 0
     assert rep.rel_residual <= 1e-10
     assert rep.method in ("pcg", "pcg->direct")
@@ -254,11 +249,12 @@ def test_solve_report_fields(power_solver):
 
 def _cell_bcs(phi):
     """The seven cell-problem data of one point: v1^a, v2^a, then v3."""
-    bcs = [{own: psi, other: 0.0, BT.OUTER: 0.0}
-           for own, other in ((BT.INCLUSION_TOP, BT.INCLUSION_BOTTOM),
-                              (BT.INCLUSION_BOTTOM, BT.INCLUSION_TOP))
-           for psi in ns.rigid_basis(2)]
-    return bcs + [{BT.INCLUSION_TOP: 0.0, BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: phi}]
+    bcs = {f"v{i}^{psi.index}": {own: psi, other: 0.0, BT.OUTER: 0.0}
+           for i, own, other in ((1, BT.INCLUSION_TOP, BT.INCLUSION_BOTTOM),
+                                 (2, BT.INCLUSION_BOTTOM, BT.INCLUSION_TOP))
+           for psi in ns.rigid_basis(2)}
+    bcs["v3"] = {BT.INCLUSION_TOP: 0.0, BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: phi}
+    return bcs
 
 
 def _cg_oracle(solver, fields):
@@ -316,9 +312,9 @@ def test_block_pcg_applies_ilu_once_per_iteration(power_mesh, params, monkeypatc
 
 def test_zero_load_column_is_zero_and_leaves_others_unchanged(power_solver):
     zero = {BT.INCLUSION_TOP: 0.0, BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0}
-    bcs = _cell_bcs(ns.resolve_phi("affine-x2"))[:3]
-    base, rep = power_solver.solve(bcs)
-    got, rep0 = power_solver.solve(bcs[:1] + [zero] + bcs[1:])
+    a, b, c = list(_cell_bcs(ns.resolve_phi("affine-x2")).values())[:3]
+    base, rep = power_solver.solve({"a": a, "b": b, "c": c})
+    got, rep0 = power_solver.solve({"a": a, "zero": zero, "b": b, "c": c})
     assert np.all(got[1].values == 0.0)
     for f, e in zip(got[:1] + got[2:], base):
         assert np.array_equal(f.values, e.values)
@@ -327,8 +323,9 @@ def test_zero_load_column_is_zero_and_leaves_others_unchanged(power_solver):
 
 
 def test_pcg_give_up_falls_back_to_direct(power_mesh, params, monkeypatch):
-    bcs = [{BT.INCLUSION_TOP: psi, BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0}
-           for psi in ns.rigid_basis(2)]
+    bcs = {f"v1^{psi.index}": {BT.INCLUSION_TOP: psi, BT.INCLUSION_BOTTOM: 0.0,
+                               BT.OUTER: 0.0}
+           for psi in ns.rigid_basis(2)}
     expected, _ = ns.DirichletSolver(power_mesh, params).solve(bcs)
 
     monkeypatch.setattr(ns.fem, "_PCG_MAXITER", 1)

@@ -284,3 +284,19 @@ def test_gram_diagonals_approach_analytic_constants():
         assert row["status"] == "ok"
         assert abs(row["a11_11"] / (mu * base) - 1.0) < 0.06
         assert abs(row["a11_22"] / ((lam + 2 * mu) * base) - 1.0) < 0.06
+
+
+@pytest.mark.parametrize("phi, maxiter, method", [
+    ("zero", None, "pcg"),              # v3 alone would be "trivial"
+    ("affine-x2", 1, "pcg->direct"),    # every column gives up after 1 iteration
+])
+def test_solver_columns_report_the_block_solve(monkeypatch, phi, maxiter, method):
+    if maxiter is not None:
+        monkeypatch.setattr(ns.fem, "_PCG_MAXITER", maxiter)
+    row = ns.run_point(replace(FAST, phi=phi), FAST.eps_list[0])
+    assert row["status"] == "ok"
+    assert row["solver_method"] == method
+    if maxiter is not None:
+        assert row["solver_iters"] == maxiter
+    else:
+        assert row["solver_iters"] > 0
