@@ -20,7 +20,6 @@ from .decomposition import (
     CellSolutions,
     CoefficientSystem,
     assemble_system,
-    cramer_diff,
     reconstruct,
     solve_cell_problems,
     solve_coefficients,

@@ -11,10 +11,11 @@ the inclusion boundaries.  That condition is the symmetric linear system
 
     sum_{i,a} C_i[a] * a_ij[a,b] = b_j[b],    a_ij[a,b] = (C e(v_i[a]), e(v_j[b]))_Omega,
 
-whose Gram blocks are computed here by volume energy quadrature (the
-boundary-traction form of the same numbers is kept as a cross-check only).
-Each field's strain is computed once and cached on the field, so the 42 pair
-quadratures of a point cost seven strain evaluations plus the pairwise sums.
+whose Gram matrix and loads are formed here as V^T (K V) over the seven
+fields and the assembled stiffness K.  Volume energy quadrature of each
+unordered pair they need (27 per point: seven cached strain evaluations plus
+the pairwise sums) cross-checks them; the harness cross-checks the loads once
+more against their boundary-traction form.
 """
 
 from __future__ import annotations
@@ -75,16 +76,16 @@ def solve_cell_problems(mesh: Mesh, params: ElasticParams, phi,
 
 @dataclass
 class CoefficientSystem:
-    """Gram blocks, loads and (once solved) the rigid-motion coefficients."""
+    """Gram matrix, loads and (once solved) the rigid-motion coefficients.
+
+    ``gram`` is the symmetric 2n x 2n matrix [[a11, a12], [a12^T, a22]] and
+    ``load`` is [b1, b2]; ``gram_defect`` is the larger relative gap between
+    them and the energy quadrature that cross-checks them."""
 
     n_alpha: int
-    a11: np.ndarray
-    a12: np.ndarray
-    a21: np.ndarray
-    a22: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
-    asymmetry_defect: float
+    gram: np.ndarray
+    load: np.ndarray
+    gram_defect: float
     c1: np.ndarray | None = None
     c2: np.ndarray | None = None
     diff: np.ndarray | None = None
@@ -92,83 +93,51 @@ class CoefficientSystem:
     residual: float = float("nan")
     residual_p: float = float("nan")
 
-    def full_matrix(self) -> np.ndarray:
-        top = np.hstack([self.a11.T, self.a21.T])
-        bot = np.hstack([self.a12.T, self.a22.T])
-        return np.vstack([top, bot])
+    @property
+    def a11(self) -> np.ndarray:
+        return self.gram[:self.n_alpha, :self.n_alpha]
 
-    def rhs(self) -> np.ndarray:
-        return np.concatenate([self.b1, self.b2])
+    @property
+    def b1(self) -> np.ndarray:
+        return self.load[:self.n_alpha]
 
 
 def assemble_system(params: ElasticParams, cells: CellSolutions) -> CoefficientSystem:
-    """Fill the Gram blocks a_ij and loads b_j by volume energy quadrature.
+    """Form the Gram matrix a_ij and loads b_j as ``V^T (K V)``.
 
-    Strains are computed once per field (``DisplacementField.strain``), but
-    each unordered pair is still integrated in both argument orders, and the
-    recorded asymmetry defect compares the two; the blocks are then
-    symmetrized.  A defect above 1e-6 relative indicates a discretization
-    fault and raises.  At lam = mu = 1 both orders round alike and the defect
-    is exactly 0, so the blocks and loads are also checked against
-    ``V^T (K V)`` over the seven fields and the assembled stiffness K, which
-    the quadrature equals up to rounding; a gap above 1e-8 relative raises.
+    V holds the seven fields (v1[.], v2[.], v3) as columns and K is the
+    assembled stiffness; the product is symmetrized.  Each unordered pair
+    that enters the Gram block or the loads (27 of them) is also integrated
+    once by volume energy quadrature, which reads the strains and not K; a
+    gap above 1e-8 relative in either part indicates a discretization fault
+    and raises.
     """
     n = cells.n_alpha
-    a = {}
-    defect = 0.0
-    scale = 0.0
-    for i in (1, 2):
-        for j in (1, 2):
-            block = np.empty((n, n))
-            for al in range(1, n + 1):
-                for be in range(1, n + 1):
-                    block[al - 1, be - 1] = energy_integral(
-                        params, cells.v[(i, al)], cells.v[(j, be)])
-            a[(i, j)] = block
-    for i in (1, 2):
-        m = a[(i, i)]
-        d = float(np.abs(m - m.T).max())
-        s = float(np.abs(m).max())
-        defect = max(defect, d / max(s, 1e-300))
-        a[(i, i)] = 0.5 * (m + m.T)
-    cross = float(np.abs(a[(1, 2)] - a[(2, 1)].T).max())
-    scale = max(float(np.abs(a[(1, 2)]).max()), 1e-300)
-    defect = max(defect, cross / scale)
-    if defect > 1e-6:
-        raise DecompositionError(
-            f"Gram asymmetry defect {defect:.3e} exceeds 1e-6; discretization fault")
-    sym_cross = 0.5 * (a[(1, 2)] + a[(2, 1)].T)
-    a[(1, 2)] = sym_cross
-    a[(2, 1)] = sym_cross.T
-
-    b1 = np.array([-energy_integral(params, cells.v3, cells.v[(1, be)])
-                   for be in range(1, n + 1)])
-    b2 = np.array([-energy_integral(params, cells.v3, cells.v[(2, be)])
-                   for be in range(1, n + 1)])
-
     fields = [cells.v[(i, al)] for i in (1, 2) for al in range(1, n + 1)] + [cells.v3]
     v = np.column_stack([f.vec() for f in fields])
-    gram_k = v.T @ (cells.v3.space.stiffness(params) @ v)
-    gram_q = np.block([[a[(1, 1)], a[(1, 2)]], [a[(2, 1)], a[(2, 2)]]])
-    for what, quad, alt in (("Gram", gram_q, gram_k[:-1, :-1]),
-                            ("load", np.concatenate([b1, b2]), -gram_k[-1, :-1])):
-        dev = float(np.abs(quad - alt).max()) / max(float(np.abs(quad).max()), 1e-300)
+    g = v.T @ (cells.v3.space.stiffness(params) @ v)
+    g = 0.5 * (g + g.T)
+    quad = np.zeros_like(g)
+    for a, fa in enumerate(fields[:-1]):    # v3 with itself enters neither part
+        for b in range(a, len(fields)):
+            quad[a, b] = quad[b, a] = energy_integral(params, fa, fields[b])
+    defect = 0.0
+    for what, part in (("Gram", np.s_[:-1, :-1]), ("load", np.s_[-1, :-1])):
+        scale = max(float(np.abs(g[part]).max()), 1e-300)
+        dev = float(np.abs(quad[part] - g[part]).max()) / scale
         if dev > 1e-8:
             raise DecompositionError(
                 f"{what} quadrature and V^T K V differ by {dev:.3e} relative; "
                 "discretization fault")
-    return CoefficientSystem(
-        n_alpha=n, a11=a[(1, 1)], a12=a[(1, 2)], a21=a[(2, 1)], a22=a[(2, 2)],
-        b1=b1, b2=b2, asymmetry_defect=defect,
-    )
+        defect = max(defect, dev)
+    return CoefficientSystem(n_alpha=n, gram=g[:-1, :-1], load=-g[-1, :-1], gram_defect=defect)
 
 
 def solve_coefficients(system: CoefficientSystem) -> CoefficientSystem:
-    """Solve the 2n x 2n system directly (dense, tiny) and form the
-    difference data: diff = C1 - C2 and p = b1 - (a11 + a21^T) C2, which
-    satisfy a11 diff = p up to the recorded residual."""
-    m = system.full_matrix()
-    rhs = system.rhs()
+    """Solve gram c = load directly (dense, 2n x 2n) and form the difference
+    data: diff = C1 - C2 and p = b1 - (a11 + a12) C2, which satisfy
+    a11 diff = p up to the recorded residual."""
+    m, rhs = system.gram, system.load
     n = system.n_alpha
     try:
         c = np.linalg.solve(m, rhs)
@@ -180,29 +149,11 @@ def solve_coefficients(system: CoefficientSystem) -> CoefficientSystem:
     residual = float(np.linalg.norm(m @ c - rhs)) / rhs_norm
     c1, c2 = c[:n], c[n:]
     diff = c1 - c2
-    p = system.b1 - (system.a11 + system.a21.T) @ c2
+    p = system.b1 - (system.a11 + m[:n, n:]) @ c2
     p_norm = max(float(np.linalg.norm(p)), 1e-300)
     residual_p = float(np.linalg.norm(system.a11 @ diff - p)) / p_norm
     return replace(system, c1=c1, c2=c2, diff=diff, p=p,
                    residual=residual, residual_p=residual_p)
-
-
-def cramer_diff(system: CoefficientSystem) -> np.ndarray:
-    """C1 - C2 recomputed by Cramer's rule on the 3x3 block a11 with p.
-
-    Cross-validates the direct solve through an independent algebraic route
-    (d = 2 only)."""
-    if system.n_alpha != 3 or system.p is None:
-        raise DecompositionError("cramer_diff needs a solved d=2 system")
-    a = system.a11
-    p = system.p
-    det = np.linalg.det(a)
-    out = np.empty(3)
-    for k in range(3):
-        m = a.copy()
-        m[:, k] = p
-        out[k] = np.linalg.det(m) / det
-    return out
 
 
 def reconstruct(cells: CellSolutions, system: CoefficientSystem,

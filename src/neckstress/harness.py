@@ -203,7 +203,7 @@ def _measure_point(config: ExperimentConfig, eps: float, row: dict):
         row[f"c2_{al}"] = system.c2[al - 1]
     row["sys_residual"] = system.residual
     row["p_residual"] = system.residual_p
-    row["asym_defect"] = system.asymmetry_defect
+    row["asym_defect"] = system.gram_defect
 
     b_tr = np.array([
         boundary_traction_moment(params, cells.v3, BoundaryTag.INCLUSION_TOP, psi)

@@ -4,28 +4,43 @@ import numpy as np
 import pytest
 
 import neckstress as ns
-from neckstress.decomposition import DecompositionError, cramer_diff
+from neckstress.decomposition import DecompositionError
 from neckstress.meshing import BoundaryTag as BT
+
+
+def cramer_diff(system) -> np.ndarray:
+    """C1 - C2 recomputed by Cramer's rule on the 3x3 block a11 with p.
+
+    Cross-validates the direct solve through an independent algebraic route
+    (d = 2 only)."""
+    if system.n_alpha != 3 or system.p is None:
+        raise DecompositionError("cramer_diff needs a solved d=2 system")
+    a = system.a11
+    p = system.p
+    det = np.linalg.det(a)
+    out = np.empty(3)
+    for k in range(3):
+        m = a.copy()
+        m[:, k] = p
+        out[k] = np.linalg.det(m) / det
+    return out
 
 
 def test_system_shapes(power_system):
     s = power_system
     assert s.n_alpha == 3
-    for block in (s.a11, s.a12, s.a21, s.a22):
-        assert block.shape == (3, 3)
-    assert s.full_matrix().shape == (6, 6)
+    assert s.gram.shape == (6, 6)
+    assert s.load.shape == (6,)
+    assert s.a11.shape == (3, 3)
+    assert s.b1.shape == (3,)
 
 
 def test_gram_symmetry_and_spd(power_system):
     s = power_system
-    assert np.allclose(s.a11, s.a11.T)
-    assert np.allclose(s.a22, s.a22.T)
-    assert np.allclose(s.a12, s.a21.T)
-    full = s.full_matrix()
-    assert np.allclose(full, full.T)
+    assert np.array_equal(s.gram, s.gram.T)
     assert np.linalg.eigvalsh(s.a11).min() > 0.0
     assert np.all(np.diag(s.a11) > 0.0)
-    assert s.asymmetry_defect < 1e-6
+    assert s.gram_defect < 1e-8
 
 
 def test_assemble_system_computes_each_strain_once(params, power_cells, power_system,
@@ -33,17 +48,26 @@ def test_assemble_system_computes_each_strain_once(params, power_cells, power_sy
     cells = replace(power_cells, v={k: replace(f) for k, f in power_cells.v.items()},
                     v3=replace(power_cells.v3))
     fields = list(cells.v.values()) + [cells.v3]
-    seen = []
+    seen, pairs = [], []
     strain = ns.fem._strain
+    energy = ns.decomposition.energy_integral
 
     def counting(space, values):
         seen.append(id(values))
         return strain(space, values)
 
+    def counting_energy(params_, fa, fb):
+        pairs.append(frozenset((id(fa), id(fb))))
+        return energy(params_, fa, fb)
+
     monkeypatch.setattr(ns.fem, "_strain", counting)
+    monkeypatch.setattr(ns.decomposition, "energy_integral", counting_energy)
     system = ns.assemble_system(params, cells)
     assert sorted(seen) == sorted(id(f.values) for f in fields)
-    for name in ("a11", "a12", "a21", "a22", "b1", "b2", "asymmetry_defect"):
+    # each unordered pair once, except v3 with itself: 21 Gram + 6 load pairs
+    assert len(pairs) == len(set(pairs)) == 27
+    assert frozenset((id(cells.v3),)) not in pairs
+    for name in ("gram", "load", "gram_defect"):
         assert np.array_equal(getattr(system, name), getattr(power_system, name))
     ns.assemble_system(params, cells)
     assert len(seen) == len(fields)
@@ -159,16 +183,24 @@ def test_frame_consistency_translation_block(power_profile, params):
     assert np.abs(blk0 - blk1).max() < 1e-8 * np.abs(blk0).max()
 
 
-def test_gram_cross_check_catches_a_perturbed_strain(params, power_cells, monkeypatch):
-    # V^T K V does not read the strains, so a strain fault of 1e-6 must raise
+@pytest.mark.parametrize("route", ["strain", "stiffness"])
+def test_gram_cross_check_catches_a_perturbed_strain(params, power_cells, monkeypatch,
+                                                      route):
+    # the quadrature reads only the strains and V^T K V reads only K, so a
+    # fault of 1e-6 in either route must raise
     cells = replace(power_cells, v={k: replace(f) for k, f in power_cells.v.items()},
                     v3=replace(power_cells.v3))
-    strain = ns.fem._strain
+    if route == "strain":
+        strain = ns.fem._strain
 
-    def perturbed(space, values):
-        e, tr = strain(space, values)
-        return e * (1.0 + 1e-6), tr
+        def perturbed(space, values):
+            e, tr = strain(space, values)
+            return e * (1.0 + 1e-6), tr
 
-    monkeypatch.setattr(ns.fem, "_strain", perturbed)
+        monkeypatch.setattr(ns.fem, "_strain", perturbed)
+    else:
+        stiffness = ns.P2Space.stiffness
+        monkeypatch.setattr(ns.P2Space, "stiffness",
+                            lambda space, p: stiffness(space, p) * (1.0 + 1e-6))
     with pytest.raises(DecompositionError, match="V\\^T K V"):
         ns.assemble_system(params, cells)
