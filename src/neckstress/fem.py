@@ -6,6 +6,9 @@ cell, which is what the pointwise gradient measurements need.  All boundary
 conditions are Dirichlet and imposed strongly by row elimination.  The
 Dirichlet problems of one mesh share an incomplete-LU preconditioner and are
 solved together by one block preconditioned CG run (``DirichletSolver``).
+A mesh's ``P2Space`` (dof layout, geometry factors, cached stiffness) is
+shared through ``P2Space.get`` and held by the mesh only weakly, so a point's
+mesh and space are freed by reference counting as soon as the point is done.
 
 The weak form is int_Omega lam*div(u)*div(v) + 2*mu*e(u):e(v); with the
 degree-2 quadrature rule below it is integrated exactly on affine cells.
@@ -14,6 +17,7 @@ degree-2 quadrature rule below it is integrated exactly on affine cells.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,7 +27,7 @@ import scipy.sparse.linalg as spla
 
 from .elasticity import ElasticParams, RigidMotion
 from .geometry import NeckProfile
-from .meshing import BoundaryTag, Mesh, FLOAT_FMT
+from .meshing import FLOAT_FMT, BoundaryTag, Mesh, format_rows
 
 # degree-2 rule on the reference triangle (weights sum to 1/2)
 _QP = np.array([[1.0 / 6.0, 1.0 / 6.0], [2.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 2.0 / 3.0]])
@@ -139,10 +143,18 @@ class P2Space:
 
     @classmethod
     def get(cls, mesh: Mesh) -> "P2Space":
-        space = getattr(mesh, "_p2_space", None)
+        """The mesh's space, built on first use and shared while it is alive.
+
+        The mesh holds its space through a weak reference: the space already
+        holds the mesh, and a strong reference back would make every point's
+        mesh, space and stiffness matrices a reference cycle that only the
+        cyclic garbage collector frees, so memory would grow over a sweep
+        until a collection ran."""
+        ref = getattr(mesh, "_p2_space", None)
+        space = None if ref is None else ref()
         if space is None:
             space = cls(mesh)
-            object.__setattr__(mesh, "_p2_space", space)
+            object.__setattr__(mesh, "_p2_space", weakref.ref(space))
         return space
 
     def tag_scalar_dofs(self, tag) -> np.ndarray:
@@ -548,8 +560,7 @@ def export_field(field: DisplacementField, path: str):
         f.write("# neckstress-field-v1\n")
         f.write(f"# dofs {space.n_scalar} (vertices {space.n_vertex}, edge midpoints {space.n_edge})\n")
         f.write("# id x y ux uy\n")
-        fmt = "%d " + " ".join([FLOAT_FMT] * 4) + "\n"
-        for i in range(space.n_scalar):
-            x, y = space.dof_coords[i]
-            ux, uy = field.values[i]
-            f.write(fmt % (i, x, y, ux, uy))
+        # ids ride along as floats: %d prints an integral float exactly
+        table = np.column_stack([np.arange(space.n_scalar, dtype=np.float64),
+                                 space.dof_coords, field.values])
+        f.write(format_rows("%d " + " ".join([FLOAT_FMT] * 4) + "\n", table))

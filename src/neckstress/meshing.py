@@ -38,11 +38,6 @@ logger = logging.getLogger(__name__)
 FLOAT_FMT = "%.17g"
 
 
-def cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """z-component of the cross product of stacked 2-vectors."""
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-
-
 class MeshingError(RuntimeError):
     """Mesh generation failed; the message names the offending region."""
 
@@ -156,18 +151,28 @@ class Mesh:
         return self.nodes[self.cells].mean(axis=1)
 
     def signed_areas(self) -> np.ndarray:
-        p = self.nodes[self.cells]
-        return 0.5 * cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        return _signed_areas(*_corners(self.nodes, self.cells))
+
+
+def _corners(nodes: np.ndarray, cells: np.ndarray):
+    """Corner coordinates x, y of every cell, each (3, m): one contiguous
+    gather per coordinate instead of strided slices of nodes[cells]."""
+    ct = cells.T
+    return nodes[:, 0][ct], nodes[:, 1][ct]
+
+
+def _signed_areas(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0]))
 
 
 def triangle_quality(nodes: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Shape quality 4*sqrt(3)*area / sum(edge^2), 1 for equilateral."""
-    p = nodes[cells]
-    area = 0.5 * np.abs(cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]))
+    x, y = _corners(nodes, cells)
+    area = np.abs(_signed_areas(x, y))
     l2 = (
-        np.sum((p[:, 1] - p[:, 0]) ** 2, axis=1)
-        + np.sum((p[:, 2] - p[:, 1]) ** 2, axis=1)
-        + np.sum((p[:, 0] - p[:, 2]) ** 2, axis=1)
+        ((x[1] - x[0]) ** 2 + (y[1] - y[0]) ** 2)
+        + ((x[2] - x[1]) ** 2 + (y[2] - y[1]) ** 2)
+        + ((x[0] - x[2]) ** 2 + (y[0] - y[2]) ** 2)
     )
     return 4.0 * math.sqrt(3.0) * area / l2
 
@@ -274,6 +279,14 @@ def _arc_interior_nodes(profile: NeckProfile, config: GradingConfig):
 # ---------------------------------------------------------------------------
 # mesh builder
 
+def _chain(ids: np.ndarray, close: bool = False) -> np.ndarray:
+    """Edges (ids[i], ids[i + 1]) along a node chain, plus the closing edge
+    (ids[-1], ids[0]) when ``close``."""
+    ids = np.asarray(ids, dtype=np.int64)
+    nxt = np.roll(ids, -1) if close else ids[1:]
+    return np.column_stack([ids[:len(nxt)], nxt])
+
+
 def build_mesh(profile: NeckProfile, config: GradingConfig | None = None) -> Mesh:
     """Triangulate the shell for a 2-d profile.
 
@@ -314,19 +327,15 @@ def build_mesh(profile: NeckProfile, config: GradingConfig | None = None) -> Mes
     neck_xy[:, :, 1] = bots[:, None] + t[None, :] * (tops - bots)[:, None]
     nid = np.arange(nx * (layers + 1)).reshape(nx, layers + 1)
 
-    neck_cells = []
-    mids = 0.5 * (xs[:-1] + xs[1:])
-    for i in range(nx - 1):
-        for j in range(layers):
-            a, b = nid[i, j], nid[i + 1, j]
-            cc, d = nid[i + 1, j + 1], nid[i, j + 1]
-            if mids[i] >= 0.0:   # diagonal a-cc; mirrored on the other side
-                neck_cells.append((a, b, cc))
-                neck_cells.append((a, cc, d))
-            else:
-                neck_cells.append((a, b, d))
-                neck_cells.append((b, cc, d))
-    neck_cells = np.array(neck_cells, dtype=np.int64)
+    # two cells per quad (i, j), row-major; diagonal a-cc where the quad's
+    # midpoint is at x1 >= 0, mirrored (b-d) on the other side
+    a, b = nid[:-1, :-1], nid[1:, :-1]
+    cc, d = nid[1:, 1:], nid[:-1, 1:]
+    right = (0.5 * (xs[:-1] + xs[1:]) >= 0.0)[:, None]
+    neck_cells = np.stack([
+        np.stack([a, b, np.where(right, cc, d)], axis=-1),
+        np.stack([np.where(right, a, b), cc, d], axis=-1),
+    ], axis=2).reshape(-1, 3)
 
     nodes = [neck_xy.reshape(-1, 2)]
     next_id = nx * (layers + 1)
@@ -362,26 +371,14 @@ def build_mesh(profile: NeckProfile, config: GradingConfig | None = None) -> Mes
     n0 = ring0.size
     dirs = ring_xy / np.linalg.norm(ring_xy, axis=1, keepdims=True)
     outer_pts = profile.outer_radius * dirs
-    n_r = n_radial
-
-    ring_ids = [ring0]
-    for s in s_levels:
-        pts = ring_xy + s * (outer_pts - ring_xy)
-        ids = np.arange(next_id, next_id + n0)
-        nodes.append(pts)
-        ring_ids.append(ids)
-        next_id += n0
-
-    ann_cells = []
-    for k in range(n_r):
-        inner, outer = ring_ids[k], ring_ids[k + 1]
-        for i in range(n0):
-            j = (i + 1) % n0
-            # ccw sector boundary: inner_i -> outer_i -> outer_j -> inner_j
-            a, b, cc, d = inner[i], outer[i], outer[j], inner[j]
-            ann_cells.append((a, b, cc))
-            ann_cells.append((a, cc, d))
-    ann_cells = np.array(ann_cells, dtype=np.int64)
+    nodes.append((ring_xy + s_levels[:, None, None] * (outer_pts - ring_xy)).reshape(-1, 2))
+    ring_ids = np.vstack([ring0, next_id + np.arange(n_radial * n0).reshape(n_radial, n0)])
+    # ccw sector boundary: inner_i -> outer_i -> outer_j -> inner_j, j = i + 1
+    a, b = ring_ids[:-1], ring_ids[1:]
+    cc, d = np.roll(b, -1, axis=1), np.roll(a, -1, axis=1)
+    ann_cells = np.stack([
+        np.stack([a, b, cc], axis=-1), np.stack([a, cc, d], axis=-1),
+    ], axis=2).reshape(-1, 3)
 
     all_nodes = np.vstack(nodes)
     all_cells = np.vstack([neck_cells, ann_cells])
@@ -389,31 +386,21 @@ def build_mesh(profile: NeckProfile, config: GradingConfig | None = None) -> Mes
     # --- boundary edges -------------------------------------------------------
     top_chain = np.concatenate([[nid[nx - 1, layers]], arc_top_ids, [nid[0, layers]]])
     bot_chain = np.concatenate([[nid[0, 0]], arc_bot_ids[::-1], [nid[nx - 1, 0]]])
-    edges = []
-    tags = []
-
-    def _chain(ids, tag, close=False):
-        n = len(ids)
-        stop = n if close else n - 1
-        for i in range(stop):
-            edges.append((ids[i], ids[(i + 1) % n]))
-            tags.append(tag)
-
-    _chain(nid[:, layers], BoundaryTag.INCLUSION_TOP)
-    _chain(top_chain, BoundaryTag.INCLUSION_TOP)
-    _chain(nid[:, 0], BoundaryTag.INCLUSION_BOTTOM)
-    _chain(bot_chain, BoundaryTag.INCLUSION_BOTTOM)
-    _chain(ring_ids[-1], BoundaryTag.OUTER, close=True)
-
-    edges = np.array(edges, dtype=np.int64)
-    tags = np.array(tags, dtype=np.int8)
+    chains = [
+        (_chain(nid[:, layers]), BoundaryTag.INCLUSION_TOP),
+        (_chain(top_chain), BoundaryTag.INCLUSION_TOP),
+        (_chain(nid[:, 0]), BoundaryTag.INCLUSION_BOTTOM),
+        (_chain(bot_chain), BoundaryTag.INCLUSION_BOTTOM),
+        (_chain(ring_ids[-1], close=True), BoundaryTag.OUTER),
+    ]
+    edges = np.vstack([e for e, _ in chains])
+    tags = np.concatenate([np.full(len(e), tag, dtype=np.int8) for e, tag in chains])
 
     # --- validation and report -------------------------------------------------
-    p = all_nodes[all_cells]
-    areas = 0.5 * cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    areas = _signed_areas(*_corners(all_nodes, all_cells))
     if np.any(areas <= 0.0):
         i = int(np.argmin(areas))
-        c = p[i].mean(axis=0)
+        c = all_nodes[all_cells[i]].mean(axis=0)
         raise MeshingError(
             f"degenerate or inverted cell near ({c[0]:.4g}, {c[1]:.4g})"
         )
@@ -467,17 +454,17 @@ def validate_mesh(mesh: Mesh):
         if np.any(counts != 2):
             raise MeshingError(f"boundary curve for tag {tag} is not closed")
     # boundary edges must be edges of exactly one cell
-    cell_edges = np.concatenate([
-        mesh.cells[:, [0, 1]], mesh.cells[:, [1, 2]], mesh.cells[:, [2, 0]]
-    ])
-    cell_edges = np.sort(cell_edges, axis=1)
-    keys = cell_edges[:, 0] * mesh.n_nodes + cell_edges[:, 1]
-    uniq, counts = np.unique(keys, return_counts=True)
-    count_of = dict(zip(uniq.tolist(), counts.tolist()))
+    c = mesh.cells
+    first = np.concatenate([c[:, 0], c[:, 1], c[:, 2]])
+    second = np.concatenate([c[:, 1], c[:, 2], c[:, 0]])
+    keys = np.sort(np.minimum(first, second) * mesh.n_nodes + np.maximum(first, second))
     be = np.sort(mesh.edges, axis=1)
-    for a, b in be:
-        if count_of.get(int(a) * mesh.n_nodes + int(b), 0) != 1:
-            raise MeshingError(f"tagged edge ({a},{b}) is not a boundary edge")
+    bkeys = be[:, 0] * mesh.n_nodes + be[:, 1]
+    uses = np.searchsorted(keys, bkeys, side="right") - np.searchsorted(keys, bkeys)
+    bad = np.flatnonzero(uses != 1)
+    if bad.size:
+        a, b = be[bad[0]]
+        raise MeshingError(f"tagged edge ({a},{b}) is not a boundary edge")
 
 
 # ---------------------------------------------------------------------------
@@ -582,18 +569,20 @@ def save_mesh(mesh: Mesh, path: str):
         f.write(dumps_mesh(mesh))
 
 
+def format_rows(row_fmt: str, table: np.ndarray) -> str:
+    """Every row of a 2-d table through one ``%`` row format, in one call."""
+    return (row_fmt * table.shape[0]) % tuple(table.ravel().tolist())
+
+
 def dumps_mesh(mesh: Mesh) -> str:
     buf = io.StringIO()
     buf.write("# neckstress-mesh-v1\n")
     buf.write(f"nodes {mesh.n_nodes}\n")
-    for x, y in mesh.nodes:
-        buf.write((FLOAT_FMT + " " + FLOAT_FMT + "\n") % (x, y))
+    buf.write(format_rows(f"{FLOAT_FMT} {FLOAT_FMT}\n", mesh.nodes))
     buf.write(f"cells {mesh.n_cells}\n")
-    for a, b, c in mesh.cells:
-        buf.write(f"{a} {b} {c}\n")
+    buf.write(format_rows("%d %d %d\n", mesh.cells))
     buf.write(f"edges {mesh.edges.shape[0]}\n")
-    for (a, b), tag in zip(mesh.edges, mesh.edge_tags):
-        buf.write(f"{a} {b} {int(tag)}\n")
+    buf.write(format_rows("%d %d %d\n", np.column_stack([mesh.edges, mesh.edge_tags])))
     buf.write(f"meta {len(mesh.meta)}\n")
     for k in sorted(mesh.meta):
         v = mesh.meta[k]
@@ -605,6 +594,11 @@ def dumps_mesh(mesh: Mesh) -> str:
 
 
 def load_mesh(path: str) -> Mesh:
+    """Read a mesh written by :func:`save_mesh` and validate it.
+
+    A missing or malformed block header, a truncated block, or a row that
+    does not parse raises :class:`MeshingError` naming the path and block.
+    """
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
     if not lines or lines[0].strip() != "# neckstress-mesh-v1":
@@ -613,28 +607,58 @@ def load_mesh(path: str) -> Mesh:
 
     def _block(name):
         nonlocal i
+        if i >= len(lines):
+            raise MeshingError(f"{path}: file ends before the '{name}' block")
         head = lines[i].split()
-        if head[0] != name:
+        if not head or head[0] != name:
             raise MeshingError(f"{path}: expected '{name}' block, got {lines[i]!r}")
+        if len(head) != 2 or not head[1].isdigit():
+            raise MeshingError(f"{path}: bad row count in '{name}' block header {lines[i]!r}")
         n = int(head[1])
         rows = lines[i + 1: i + 1 + n]
+        if len(rows) < n:
+            raise MeshingError(f"{path}: '{name}' block is truncated: "
+                               f"{len(rows)} of {n} rows")
         i += 1 + n
         return rows
 
-    nodes = np.array([[float(v) for v in r.split()] for r in _block("nodes")])
-    cells = np.array([[int(v) for v in r.split()] for r in _block("cells")], dtype=np.int64)
-    erows = [[int(v) for v in r.split()] for r in _block("edges")]
-    edges = np.array([[a, b] for a, b, _ in erows], dtype=np.int64)
-    tags = np.array([t for _, _, t in erows], dtype=np.int8)
+    def _table(name, dtype, ncols):
+        rows = _block(name)
+        if not rows:
+            return np.empty((0, ncols), dtype=dtype)
+        try:
+            table = np.loadtxt(rows, dtype=dtype, ndmin=2, comments=None)
+        except ValueError as exc:
+            raise MeshingError(f"{path}: bad row in '{name}' block: {exc}") from None
+        if table.shape != (len(rows), ncols):
+            raise MeshingError(f"{path}: '{name}' block parsed as {table.shape[0]} rows of "
+                               f"{table.shape[1]} values, expected {len(rows)} of {ncols}")
+        return table
+
+    nodes = _table("nodes", np.float64, 2)
+    cells = _table("cells", np.int64, 3)
+    if cells.shape[0] == 0 or cells.min() < 0 or cells.max() >= nodes.shape[0]:
+        raise MeshingError(f"{path}: 'cells' block needs at least one cell, "
+                           f"with node ids in 0..{nodes.shape[0] - 1}")
+    erows = _table("edges", np.int64, 3)
+    edges = erows[:, :2].copy()
+    tags = erows[:, 2].astype(np.int8)
+    if not np.array_equal(tags, erows[:, 2]):
+        raise MeshingError(f"{path}: edge tag out of range in 'edges' block")
     meta = {}
     for r in _block("meta"):
-        k, v = (s.strip() for s in r.split("=", 1))
-        if k in ("n_layers", "n_neck_cells"):
-            meta[k] = int(v)
-        elif k == "profile_kind":
-            meta[k] = v
-        else:
-            meta[k] = float(v)
+        k, sep, v = (s.strip() for s in r.partition("="))
+        try:
+            if not sep:
+                raise ValueError("no '='")
+            if k in ("n_layers", "n_neck_cells"):
+                meta[k] = int(v)
+            elif k == "profile_kind":
+                meta[k] = v
+            else:
+                meta[k] = float(v)
+        except ValueError:
+            raise MeshingError(f"{path}: bad row in 'meta' block: {r!r}") from None
 
     report = GradingReport(
         n_nodes=nodes.shape[0],

@@ -238,6 +238,28 @@ def test_field_export(tmp_path, power_cells):
     assert len(parts) == 5
 
 
+def test_field_export_matches_per_line_writer(tmp_path, power_cells):
+    """The bulk-formatted export is byte-identical to writing one row at a
+    time with the file's row format."""
+    from neckstress.meshing import FLOAT_FMT
+    field = power_cells.v3
+    space = field.space
+    ref = tmp_path / "ref.txt"
+    with open(ref, "w", encoding="utf-8") as f:
+        f.write("# neckstress-field-v1\n")
+        f.write(f"# dofs {space.n_scalar} (vertices {space.n_vertex}, "
+                f"edge midpoints {space.n_edge})\n")
+        f.write("# id x y ux uy\n")
+        fmt = "%d " + " ".join([FLOAT_FMT] * 4) + "\n"
+        for i in range(space.n_scalar):
+            x, y = space.dof_coords[i]
+            ux, uy = field.values[i]
+            f.write(fmt % (i, x, y, ux, uy))
+    path = tmp_path / "field.txt"
+    ns.export_field(field, str(path))
+    assert path.read_bytes() == ref.read_bytes()
+
+
 def test_solve_report_fields(power_solver):
     (f,), rep = power_solver.solve({"v1^1": {BT.INCLUSION_TOP: ns.rigid_basis(2)[0],
                                              BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0}})

@@ -300,3 +300,36 @@ def test_solver_columns_report_the_block_solve(monkeypatch, phi, maxiter, method
         assert row["solver_iters"] == maxiter
     else:
         assert row["solver_iters"] > 0
+
+
+def test_point_frees_its_mesh_without_the_cycle_collector(monkeypatch):
+    """A point's mesh, space and stiffness are freed by reference counting:
+    the mesh holds its P2Space weakly, so no reference cycle is left for the
+    cyclic collector.  The space is still built once per point."""
+    import gc
+    import weakref
+
+    meshes, inits = [], []
+    build, init = ns.harness.build_mesh, ns.P2Space.__init__
+
+    def recording_build(*args, **kwargs):
+        mesh = build(*args, **kwargs)
+        meshes.append(weakref.ref(mesh))
+        return mesh
+
+    def counting_init(self, mesh):
+        inits.append(mesh.n_cells)
+        init(self, mesh)
+
+    monkeypatch.setattr(ns.harness, "build_mesh", recording_build)
+    monkeypatch.setattr(ns.P2Space, "__init__", counting_init)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        row = ns.run_point(FAST, FAST.eps_list[0])
+        assert row["status"] == "ok"
+        assert len(meshes) == 1 and len(inits) == 1
+        assert meshes[0]() is None
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -5,9 +5,11 @@ import neckstress as ns
 from neckstress.meshing import (
     BoundaryTag,
     GradingConfig,
+    Mesh,
     MeshingError,
     dumps_mesh,
     triangle_quality,
+    validate_mesh,
 )
 
 from conftest import COARSE
@@ -122,15 +124,18 @@ def test_budget_refinement_regression_flat(flat_profile):
         assert mesh.grading_report.min_quality >= 0.8 * floor
 
 
-def test_export_import_roundtrip(tmp_path, power_mesh):
-    path = tmp_path / "mesh.txt"
-    ns.save_mesh(power_mesh, str(path))
-    again = ns.load_mesh(str(path))
-    assert np.array_equal(power_mesh.nodes, again.nodes)
-    assert np.array_equal(power_mesh.cells, again.cells)
-    assert np.array_equal(power_mesh.edges, again.edges)
-    assert np.array_equal(power_mesh.edge_tags, again.edge_tags)
-    assert again.meta["profile_kind"] == "power"
+def test_export_import_roundtrip(tmp_path, power_mesh, flat_mesh):
+    for mesh, kind in ((power_mesh, "power"), (flat_mesh, "flat")):
+        path = tmp_path / f"{kind}.txt"
+        ns.save_mesh(mesh, str(path))
+        again = ns.load_mesh(str(path))
+        assert np.array_equal(mesh.nodes, again.nodes)
+        assert np.array_equal(mesh.cells, again.cells)
+        assert np.array_equal(mesh.edges, again.edges)
+        assert np.array_equal(mesh.edge_tags, again.edge_tags)
+        assert again.meta == mesh.meta
+        assert again.meta["profile_kind"] == kind
+        assert dumps_mesh(again) == dumps_mesh(mesh)
 
 
 def test_mesh_build_deterministic(power_profile):
@@ -163,3 +168,168 @@ def test_quality_metric():
 def test_arrays_readonly(power_mesh):
     with pytest.raises(ValueError):
         power_mesh.nodes[0, 0] = 42.0
+
+
+# ---------------------------------------------------------------------------
+# build oracle: the cell and boundary-chain construction as per-row loops
+
+def _oracle_topology(mesh):
+    """Neck cells, annulus cells, boundary edges and tags of ``mesh`` rebuilt
+    row by row from its node layout (neck grid, top arc, bottom arc, rings)."""
+    layers = mesh.meta["n_layers"]
+    nx = mesh.meta["n_neck_cells"] // (2 * layers) + 1
+    nid = np.arange(nx * (layers + 1)).reshape(nx, layers + 1)
+    n_arc = int(np.count_nonzero(mesh.edge_tags == BoundaryTag.INCLUSION_TOP)) - nx
+    arc_top_ids = nx * (layers + 1) + np.arange(n_arc)
+    arc_bot_ids = arc_top_ids + n_arc
+    ring0 = np.concatenate([nid[nx - 1, :], arc_top_ids, nid[0, ::-1], arc_bot_ids[::-1]])
+    n0 = ring0.size
+    first = nx * (layers + 1) + 2 * n_arc
+    n_r = (mesh.n_nodes - first) // n0
+    ring_ids = [ring0] + [first + k * n0 + np.arange(n0) for k in range(n_r)]
+
+    xs = mesh.nodes[nid[:, 0], 0]
+    mids = 0.5 * (xs[:-1] + xs[1:])
+    cells = []
+    for i in range(nx - 1):
+        for j in range(layers):
+            a, b = nid[i, j], nid[i + 1, j]
+            cc, d = nid[i + 1, j + 1], nid[i, j + 1]
+            if mids[i] >= 0.0:
+                cells += [(a, b, cc), (a, cc, d)]
+            else:
+                cells += [(a, b, d), (b, cc, d)]
+    for k in range(n_r):
+        inner, outer = ring_ids[k], ring_ids[k + 1]
+        for i in range(n0):
+            j = (i + 1) % n0
+            a, b, cc, d = inner[i], outer[i], outer[j], inner[j]
+            cells += [(a, b, cc), (a, cc, d)]
+
+    edges, tags = [], []
+
+    def chain(ids, tag, close=False):
+        n = len(ids)
+        for i in range(n if close else n - 1):
+            edges.append((ids[i], ids[(i + 1) % n]))
+            tags.append(tag)
+
+    chain(nid[:, layers], BoundaryTag.INCLUSION_TOP)
+    chain(np.concatenate([[nid[nx - 1, layers]], arc_top_ids, [nid[0, layers]]]),
+          BoundaryTag.INCLUSION_TOP)
+    chain(nid[:, 0], BoundaryTag.INCLUSION_BOTTOM)
+    chain(np.concatenate([[nid[0, 0]], arc_bot_ids[::-1], [nid[nx - 1, 0]]]),
+          BoundaryTag.INCLUSION_BOTTOM)
+    chain(ring_ids[-1], BoundaryTag.OUTER, close=True)
+    return (np.array(cells, dtype=np.int64), np.array(edges, dtype=np.int64),
+            np.array(tags, dtype=np.int8))
+
+
+@pytest.mark.parametrize("kind, shape", [
+    ("power", {"epsilon": 2e-2, "m": 2.0}),
+    ("power", {"epsilon": 1e-4, "m": 6.0}),
+    ("flat", {"epsilon": 1e-2, "r0": 0.3}),
+    ("flat", {"epsilon": 1e-2, "r0": 0.0}),
+], ids=["power-m2", "power-m6", "flat-r0.3", "flat-r0"])
+def test_build_matches_loop_oracle(kind, shape):
+    mesh = ns.build_mesh(ns.make_profile(kind, **shape), COARSE)
+    cells, edges, tags = _oracle_topology(mesh)
+    assert mesh.n_cells == cells.shape[0]
+    assert np.array_equal(mesh.cells, cells)
+    assert np.array_equal(mesh.edges, edges)
+    assert np.array_equal(mesh.edge_tags, tags)
+    assert (mesh.cells.dtype, mesh.edges.dtype, mesh.edge_tags.dtype) == \
+        (cells.dtype, edges.dtype, tags.dtype)
+
+
+# ---------------------------------------------------------------------------
+# validate_mesh: each structural check fires on a corrupted copy
+
+def _corrupt(mesh, cells=None, edges=None, tags=None):
+    return Mesh(mesh.nodes.copy(),
+                mesh.cells.copy() if cells is None else cells,
+                mesh.edges.copy() if edges is None else edges,
+                mesh.edge_tags.copy() if tags is None else tags,
+                mesh.grading_report, dict(mesh.meta))
+
+
+def test_validate_rejects_inverted_cell(power_mesh):
+    cells = power_mesh.cells.copy()
+    cells[5] = cells[5, [0, 2, 1]]
+    with pytest.raises(MeshingError, match="^mesh contains non-positively-oriented cells$"):
+        validate_mesh(_corrupt(power_mesh, cells=cells))
+
+
+def test_validate_rejects_edge_tag_count_mismatch(power_mesh):
+    with pytest.raises(MeshingError, match="^boundary edge/tag count mismatch$"):
+        validate_mesh(_corrupt(power_mesh, tags=power_mesh.edge_tags[:-1].copy()))
+
+
+def test_validate_rejects_untagged_edge(power_mesh):
+    tags = power_mesh.edge_tags.copy()
+    tags[3] = 0
+    with pytest.raises(MeshingError, match="^untagged boundary edge$"):
+        validate_mesh(_corrupt(power_mesh, tags=tags))
+
+
+def test_validate_rejects_open_tag_curve(power_mesh):
+    k = int(np.flatnonzero(power_mesh.edge_tags == BoundaryTag.OUTER)[0])
+    keep = np.arange(power_mesh.edges.shape[0]) != k
+    mesh = _corrupt(power_mesh, edges=power_mesh.edges[keep].copy(),
+                    tags=power_mesh.edge_tags[keep].copy())
+    with pytest.raises(MeshingError, match="^boundary curve for tag 3 is not closed$"):
+        validate_mesh(mesh)
+
+
+def test_validate_names_first_tagged_interior_edge(power_mesh):
+    # a closed triangle of interior edges tagged as a third inclusion curve,
+    # inserted after the first boundary edge: the tag curves stay closed
+    on_boundary = np.isin(power_mesh.cells, power_mesh.edges).any(axis=1)
+    c = power_mesh.cells[np.flatnonzero(~on_boundary)[0]]
+    loop = np.array([[c[1], c[2]], [c[2], c[0]], [c[0], c[1]]])
+    edges = np.vstack([power_mesh.edges[:1], loop, power_mesh.edges[1:]])
+    tags = np.concatenate([power_mesh.edge_tags[:1], np.full(3, 4, dtype=np.int8),
+                           power_mesh.edge_tags[1:]])
+    a, b = sorted((int(c[1]), int(c[2])))
+    with pytest.raises(MeshingError, match=rf"^tagged edge \({a},{b}\) is not a boundary edge$"):
+        validate_mesh(_corrupt(power_mesh, edges=edges, tags=tags))
+
+
+# ---------------------------------------------------------------------------
+# load_mesh: malformed files raise a MeshingError naming the path and block
+
+def _edit_mesh_file(mesh, path, edit):
+    lines = dumps_mesh(mesh).splitlines()
+    heads = {ln.split()[0]: i for i, ln in enumerate(lines) if ln[:1].isalpha()}
+    path.write_text("\n".join(edit(lines, heads)) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def _set(lines, i, text):
+    lines[i] = text
+    return lines
+
+
+@pytest.mark.parametrize("edit, block, cause", [
+    (lambda ls, h: ls[:h["cells"] + 5], "cells", "truncated"),
+    (lambda ls, h: ls[:h["cells"]], "cells", "file ends before"),
+    (lambda ls, h: _set(ls, h["nodes"] + 3, "0.5"), "nodes", "number of columns"),
+    (lambda ls, h: _set(ls, h["nodes"] + 3, "0.5 1e-3x"), "nodes", "could not convert"),
+    (lambda ls, h: _set(ls, h["edges"] + 2, "1 2"), "edges", "number of columns"),
+    (lambda ls, h: _set(ls, h["edges"] + 2, "1 2 300"), "edges", "tag out of range"),
+    (lambda ls, h: _set(ls, h["cells"], "cells many"), "cells", "bad row count"),
+    (lambda ls, h: _set(ls, h["cells"], "cells"), "cells", "bad row count"),
+    (lambda ls, h: _set(ls, h["meta"] + 1, "epsilon: 0.1"), "meta", "bad row"),
+    (lambda ls, h: ls[:h["cells"]] + ["cells 0"] + ls[h["edges"]:], "cells", "at least one"),
+    (lambda ls, h: _set(ls, h["cells"] + 4, "0 1 999999"), "cells", "node ids"),
+], ids=["truncated-block", "missing-block", "short-row", "unparsable-number",
+        "short-edge-row", "tag-range", "bad-count", "no-count", "meta-row",
+        "no-cells", "node-id-range"])
+def test_load_mesh_errors_are_typed(tmp_path, power_mesh, edit, block, cause):
+    path = _edit_mesh_file(power_mesh, tmp_path / "bad.txt", edit)
+    with pytest.raises(MeshingError) as info:
+        ns.load_mesh(path)
+    msg = str(info.value)
+    assert msg.startswith(f"{path}: ")
+    assert f"'{block}'" in msg
+    assert cause in msg
