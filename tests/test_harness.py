@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -306,9 +308,6 @@ def test_point_frees_its_mesh_without_the_cycle_collector(monkeypatch):
     """A point's mesh, space and stiffness are freed by reference counting:
     the mesh holds its P2Space weakly, so no reference cycle is left for the
     cyclic collector.  The space is still built once per point."""
-    import gc
-    import weakref
-
     meshes, inits = [], []
     build, init = ns.harness.build_mesh, ns.P2Space.__init__
 
