@@ -12,7 +12,8 @@ the inclusion boundaries.  That condition is the symmetric linear system
     sum_{i,a} C_i[a] * a_ij[a,b] = b_j[b],    a_ij[a,b] = (C e(v_i[a]), e(v_j[b]))_Omega,
 
 whose Gram matrix and loads are formed here as V^T (K V) over the seven
-fields and the assembled stiffness K.  Volume energy quadrature of each
+fields, with K V taken from the blocks of the stiffness K that the cell
+problems' solver holds.  Volume energy quadrature of each
 unordered pair they need (27 per point: seven cached strain evaluations plus
 the pairwise sums) cross-checks them; the harness cross-checks the loads once
 more against their boundary-traction form.
@@ -43,10 +44,11 @@ class DecompositionError(RuntimeError):
 
 @dataclass
 class CellSolutions:
-    """The d(d+1)/2 + 1 cell problems solved on one mesh."""
+    """The d(d+1)/2 + 1 cell problems solved on one mesh, with the solver
+    that solved them: it holds the stiffness blocks that the Gram matrix and
+    the traction moments are formed from, and no factorization."""
 
-    mesh: Mesh
-    params: ElasticParams
+    solver: DirichletSolver
     v: dict                     # (i, alpha) -> DisplacementField, 1-based
     v3: DisplacementField
     report: SolveReport
@@ -70,8 +72,9 @@ def solve_cell_problems(mesh: Mesh, params: ElasticParams, phi,
             bcs[f"v{i}^{psi.index}"] = {own_tag: psi, other: 0.0, BoundaryTag.OUTER: 0.0}
     bcs["v3"] = {BoundaryTag.INCLUSION_TOP: 0.0, BoundaryTag.INCLUSION_BOTTOM: 0.0,
                  BoundaryTag.OUTER: phi}
-    fields, report = DirichletSolver(mesh, params, solver).solve(bcs)
-    return CellSolutions(mesh, params, dict(zip(keys, fields)), fields[-1], report, basis)
+    ds = DirichletSolver(mesh, params, solver)
+    fields, report = ds.solve(bcs)
+    return CellSolutions(ds, dict(zip(keys, fields)), fields[-1], report, basis)
 
 
 @dataclass
@@ -105,17 +108,17 @@ class CoefficientSystem:
 def assemble_system(params: ElasticParams, cells: CellSolutions) -> CoefficientSystem:
     """Form the Gram matrix a_ij and loads b_j as ``V^T (K V)``.
 
-    V holds the seven fields (v1[.], v2[.], v3) as columns and K is the
-    assembled stiffness; the product is symmetrized.  Each unordered pair
-    that enters the Gram block or the loads (27 of them) is also integrated
-    once by volume energy quadrature, which reads the strains and not K; a
-    gap above 1e-8 relative in either part indicates a discretization fault
-    and raises.
+    V holds the seven fields (v1[.], v2[.], v3) as columns; K V comes from
+    the stiffness blocks of the cells' solver (``stiffness_product``), and
+    the product is symmetrized.  Each unordered pair that enters the Gram
+    block or the loads (27 of them) is also integrated once by volume energy
+    quadrature, which reads the strains and not K; a gap above 1e-8 relative
+    in either part indicates a discretization fault and raises.
     """
     n = cells.n_alpha
     fields = [cells.v[(i, al)] for i in (1, 2) for al in range(1, n + 1)] + [cells.v3]
     v = np.column_stack([f.vec() for f in fields])
-    g = v.T @ (cells.v3.space.stiffness(params) @ v)
+    g = v.T @ cells.solver.stiffness_product(v)
     g = 0.5 * (g + g.T)
     quad = np.zeros_like(g)
     for a, fa in enumerate(fields[:-1]):    # v3 with itself enters neither part

@@ -6,9 +6,13 @@ cell, which is what the pointwise gradient measurements need.  All boundary
 conditions are Dirichlet and imposed strongly by row elimination.  The
 Dirichlet problems of one mesh share an incomplete-LU preconditioner and are
 solved together by one block preconditioned CG run (``DirichletSolver``).
-A mesh's ``P2Space`` (dof layout, geometry factors, cached stiffness) is
-shared through ``P2Space.get`` and held by the mesh only weakly, so a point's
-mesh and space are freed by reference counting as soon as the point is done.
+The solver is the one owner of a point's operator: it assembles the
+stiffness once, keeps only the blocks it needs, and drops the full matrix
+before the factorization; every later product with the stiffness (Gram
+matrix, traction moments) goes through it.  A mesh's ``P2Space`` (dof
+layout and geometry factors) is shared through ``P2Space.get`` and held by
+the mesh only weakly, so a point's mesh and space are freed by reference
+counting as soon as the point is done.
 
 The weak form is int_Omega lam*div(u)*div(v) + 2*mu*e(u):e(v); with the
 degree-2 quadrature rule below it is integrated exactly on affine cells.
@@ -70,7 +74,9 @@ def _ref_grads(xi_eta: np.ndarray) -> np.ndarray:
 
 
 class P2Space:
-    """Scalar P2 dof layout on a mesh plus cached geometry factors."""
+    """Scalar P2 dof layout on a mesh plus its geometry factors.  The
+    stiffness is assembled on request and not kept: ``DirichletSolver``
+    holds the blocks of it that a point uses."""
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
@@ -139,15 +145,13 @@ class P2Space:
         self.dirichlet_scalar = np.unique(np.concatenate(
             [v for v in self._tag_dofs.values()]))
 
-        self._stiffness: dict[tuple[float, float], sp.csr_matrix] = {}
-
     @classmethod
     def get(cls, mesh: Mesh) -> "P2Space":
         """The mesh's space, built on first use and shared while it is alive.
 
         The mesh holds its space through a weak reference: the space already
         holds the mesh, and a strong reference back would make every point's
-        mesh, space and stiffness matrices a reference cycle that only the
+        mesh, space and geometry arrays a reference cycle that only the
         cyclic garbage collector frees, so memory would grow over a sweep
         until a collection ran."""
         ref = getattr(mesh, "_p2_space", None)
@@ -164,35 +168,30 @@ class P2Space:
             raise FemError(f"unknown boundary tag {tag!r}") from None
 
     def stiffness(self, params: ElasticParams) -> sp.csr_matrix:
-        key = (params.lam, params.mu)
-        if key not in self._stiffness:
-            self._stiffness[key] = _assemble_stiffness(self, params)
-        return self._stiffness[key]
+        """Assemble the vector stiffness K (CSR, interleaved dofs), afresh on
+        every call."""
+        g = self.grad_q                        # (m, q, 6, 2)
+        w = self.wdet                          # (m, q)
+        lam, mu = params.lam, params.mu
+        a1 = np.einsum("mq,mqac,mqbd->macbd", w, g, g)
+        dot = np.einsum("mq,mqak,mqbk->mab", w, g, g)
+        # sum_q w g[a, d] g[b, c] at [m, a, c, b, d]: a1 with c and d swapped
+        a3 = a1.transpose(0, 1, 4, 3, 2)
+        k = lam * a1 + mu * a3
+        k[:, :, 0, :, 0] += mu * dot
+        k[:, :, 1, :, 1] += mu * dot
+        m = g.shape[0]
+        k = k.reshape(m, 12, 12)
 
-
-def _assemble_stiffness(space: P2Space, params: ElasticParams) -> sp.csr_matrix:
-    g = space.grad_q                       # (m, q, 6, 2)
-    w = space.wdet                          # (m, q)
-    lam, mu = params.lam, params.mu
-    a1 = np.einsum("mq,mqac,mqbd->macbd", w, g, g)
-    dot = np.einsum("mq,mqak,mqbk->mab", w, g, g)
-    # sum_q w g[a, d] g[b, c] at [m, a, c, b, d]: a1 with c and d swapped
-    a3 = a1.transpose(0, 1, 4, 3, 2)
-    k = lam * a1 + mu * a3
-    k[:, :, 0, :, 0] += mu * dot
-    k[:, :, 1, :, 1] += mu * dot
-    m = g.shape[0]
-    k = k.reshape(m, 12, 12)
-
-    vdofs = np.empty((m, 12), dtype=np.int64)
-    vdofs[:, 0::2] = 2 * space.cell_dofs
-    vdofs[:, 1::2] = 2 * space.cell_dofs + 1
-    rows = np.repeat(vdofs, 12, axis=1).ravel()
-    cols = np.tile(vdofs, (1, 12)).ravel()
-    n = 2 * space.n_scalar
-    a = sp.coo_matrix((k.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    a.sum_duplicates()
-    return a
+        vdofs = np.empty((m, 12), dtype=np.int64)
+        vdofs[:, 0::2] = 2 * self.cell_dofs
+        vdofs[:, 1::2] = 2 * self.cell_dofs + 1
+        rows = np.repeat(vdofs, 12, axis=1).ravel()
+        cols = np.tile(vdofs, (1, 12)).ravel()
+        n = 2 * self.n_scalar
+        a = sp.coo_matrix((k.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        a.sum_duplicates()
+        return a
 
 
 @dataclass
@@ -276,10 +275,18 @@ def _evaluate_bc(bc_spec, points: np.ndarray) -> np.ndarray:
 
 
 class DirichletSolver:
-    """Shared-preconditioner solver for many Dirichlet problems on one mesh.
+    """Shared-preconditioner solver for many Dirichlet problems on one mesh,
+    and the one owner of the mesh's stiffness K.
 
-    All cell problems share the same eliminated operator, so the incomplete-LU
-    preconditioner is built once and reused.  Each block PCG iteration makes
+    K is assembled once, here, and only three blocks of it are kept: the
+    eliminated operator ``a_ff`` (CSC), the free-boundary coupling (negated,
+    ``neg_a_fb``: the load of a boundary datum) and the boundary rows
+    ``a_b`` (all columns; their boundary-boundary part is small).  The full K
+    is gone before the factorization starts.  ``stiffness_product`` forms
+    K v from the blocks for the Gram matrix and the traction moments.
+
+    All problems of one ``solve`` share one incomplete-LU preconditioner,
+    which is released when the solve returns.  Each block PCG iteration makes
     one ``ilu.solve`` on the active residuals and one sparse product with the
     search directions; both equal their one-column forms entry for entry, and
     the per-column recurrences are those of ``scipy.sparse.linalg.cg``, so
@@ -299,10 +306,24 @@ class DirichletSolver:
         bmask[2 * bscalar + 1] = True
         self.bdofs = np.nonzero(bmask)[0]
         self.fdofs = np.nonzero(~bmask)[0]
+        # each block slices its rows of K afresh: holding one row slice
+        # across both kept the heap from returning K's memory before the
+        # factorization (point_fine RSS there 193 MB instead of 104 MB)
         self.a_ff = a[self.fdofs][:, self.fdofs].tocsc()
-        # minus the free-boundary coupling: the load of the boundary datum
         self.neg_a_fb = -a[self.fdofs][:, self.bdofs].tocsr()
-        self._ilu = None
+        # rows of K, so the traction residual at the boundary is the full
+        # product's bit for bit
+        self.a_b = a[self.bdofs]
+
+    def stiffness_product(self, v: np.ndarray) -> np.ndarray:
+        """K v for a vector or column block over all ``2 n_scalar`` dofs.
+
+        The boundary rows equal the full product's; the free rows are
+        ``a_ff v_f + a_fb v_b``, the same sum in another order."""
+        out = np.empty(v.shape)
+        out[self.fdofs] = self.a_ff @ v[self.fdofs] - self.neg_a_fb @ v[self.bdofs]
+        out[self.bdofs] = self.a_b @ v
+        return out
 
     def _boundary_values(self, bc: dict) -> np.ndarray:
         """The datum at the Dirichlet dofs, in ``bdofs`` order."""
@@ -322,10 +343,10 @@ class DirichletSolver:
              cols: list) -> tuple[int, list]:
         """Block PCG on the rows ``cols`` of ``b`` (one right-hand side per
         row), updating ``x`` in place.  Returns the number of block
-        iterations and the rows still unconverged when the budget ran out."""
-        if self._ilu is None:
-            self._ilu = spla.spilu(self.a_ff, drop_tol=_ILU_DROP_TOL,
-                                   fill_factor=_ILU_FILL_FACTOR)
+        iterations and the rows still unconverged when the budget ran out.
+        The preconditioner lives only as long as this call."""
+        ilu = spla.spilu(self.a_ff, drop_tol=_ILU_DROP_TOL,
+                         fill_factor=_ILU_FILL_FACTOR)
         tol = self.config.tol
         r = b.copy()
         p = np.empty_like(b)
@@ -337,7 +358,7 @@ class DirichletSolver:
             if not active:
                 return iterations, []
             # rows stay C-contiguous: np.dot over a strided row rounds differently
-            z = self._ilu.solve(r[active].T).T
+            z = ilu.solve(r[active].T).T
             for zj, j in zip(z, active):
                 rho = np.dot(r[j], zj)
                 if iterations > 0:
@@ -531,7 +552,7 @@ def gradient_sq_integral(field: DisplacementField, region=None) -> float:
     return float(np.sum(_region_weights(space, region) * dens))
 
 
-def boundary_traction_moment(params: ElasticParams, field: DisplacementField,
+def boundary_traction_moment(solver: DirichletSolver, field: DisplacementField,
                              tag, motion) -> float:
     """Traction moment int_tag (C e(u)) n . psi in the variationally
     consistent (residual-pairing) form.
@@ -540,12 +561,15 @@ def boundary_traction_moment(params: ElasticParams, field: DisplacementField,
     the inclusion for inclusion boundaries, out of the domain for the outer
     one.  Raw differentiation of the FEM solution on the boundary would lose
     an order of accuracy; pairing the interior residual with an extension of
-    psi is exact for the discrete traction functional.
+    psi is exact for the discrete traction functional.  The residual K u is
+    the solver's ``stiffness_product``, so the field must live on the
+    solver's mesh and the moment uses the solver's elastic parameters.
     """
     space = field.space
+    if space is not solver.space:
+        raise FemError("field and solver live on different meshes")
     dofs = space.tag_scalar_dofs(tag)       # raises on unknown tag
-    a = space.stiffness(params)
-    r = a @ field.vec()
+    r = solver.stiffness_product(field.vec())
     psi = _evaluate_bc(motion, space.dof_coords[dofs])
     val = float(np.sum(psi[:, 0] * r[2 * dofs]) + np.sum(psi[:, 1] * r[2 * dofs + 1]))
     if int(tag) == int(BoundaryTag.OUTER):

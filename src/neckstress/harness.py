@@ -206,7 +206,7 @@ def _measure_point(config: ExperimentConfig, eps: float, row: dict):
     row["asym_defect"] = system.gram_defect
 
     b_tr = np.array([
-        boundary_traction_moment(params, cells.v3, BoundaryTag.INCLUSION_TOP, psi)
+        boundary_traction_moment(cells.solver, cells.v3, BoundaryTag.INCLUSION_TOP, psi)
         for psi in cells.basis
     ])
     row["b_agree_rel"] = float(

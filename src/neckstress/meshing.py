@@ -75,6 +75,10 @@ class GradingConfig:
             raise MeshingError("dx_min_frac must be in (0, 1]")
         if self.budget_scale < 1.0:
             raise MeshingError("budget_scale must be >= 1")
+        # below 1 the geometric ring spacings sum to less than a ray, and
+        # radial_levels would never stop adding rings
+        if not (math.isfinite(self.radial_ratio) and self.radial_ratio >= 1.0):
+            raise MeshingError(f"radial_ratio must be finite and >= 1, got {self.radial_ratio!r}")
 
     def refined(self, budget_factor: float) -> "GradingConfig":
         """Config with the cell budget scaled by ``budget_factor`` (>= 1)."""

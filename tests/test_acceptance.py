@@ -157,7 +157,7 @@ def test_criterion_6_rigid_motion_exactness():
         for tag in (BT.INCLUSION_TOP, BT.INCLUSION_BOTTOM):
             for beta in ns.rigid_basis(2):
                 worst_moment = max(worst_moment, abs(
-                    ns.boundary_traction_moment(params, u, tag, beta)))
+                    ns.boundary_traction_moment(cells.solver, u, tag, beta)))
     ok = worst_nodal <= 1e-8 and worst_c <= 1e-8 and worst_moment <= 1e-8
     _report(6, ok, f"nodal={worst_nodal:.2e}, coefficients={worst_c:.2e}, "
                    f"moments={worst_moment:.2e} (all <=1e-8)")

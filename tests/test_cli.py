@@ -1,8 +1,11 @@
 import json
 
+import pytest
+
 import neckstress.fem
 from neckstress import load_mesh, read_csv
 from neckstress.cli import main, oracle_table
+from neckstress.meshing import MeshingError
 
 
 def test_mesh_subcommand(tmp_path, capsys):
@@ -95,6 +98,13 @@ def test_cli_flag_overrides_config(tmp_path, capsys):
     rc = main(["mesh", "--config", str(cfg), "--profile", "power",
                "--m", "2", "--eps", "1e-2"])
     assert rc == 0
+
+
+def test_mesh_subcommand_rejects_radial_ratio_below_one(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("radial_ratio = 0.5\n")
+    with pytest.raises(MeshingError, match="radial_ratio"):
+        main(["mesh", "--config", str(cfg), "--eps", "1e-2"])
 
 
 def test_oracle_table_structure():

@@ -126,12 +126,12 @@ def test_reconstruct_requires_solved(power_cells, params):
         ns.reconstruct(power_cells, unsolved)
 
 
-def test_reconstructed_traction_moments_vanish(power_cells, params, power_system):
+def test_reconstructed_traction_moments_vanish(power_cells, power_system):
     u = ns.reconstruct(power_cells, power_system)
     scale = np.abs(power_system.b1).max()
     for tag in (BT.INCLUSION_TOP, BT.INCLUSION_BOTTOM):
         for psi in power_cells.basis:
-            m = ns.boundary_traction_moment(params, u, tag, psi)
+            m = ns.boundary_traction_moment(power_cells.solver, u, tag, psi)
             assert abs(m) < 1e-8 * max(scale, 1.0)
 
 
@@ -186,8 +186,8 @@ def test_frame_consistency_translation_block(power_profile, params):
 @pytest.mark.parametrize("route", ["strain", "stiffness"])
 def test_gram_cross_check_catches_a_perturbed_strain(params, power_cells, monkeypatch,
                                                       route):
-    # the quadrature reads only the strains and V^T K V reads only K, so a
-    # fault of 1e-6 in either route must raise
+    # the quadrature reads only the strains and V^T K V reads only K (the
+    # solver's blocks of it), so a fault of 1e-6 in either route must raise
     cells = replace(power_cells, v={k: replace(f) for k, f in power_cells.v.items()},
                     v3=replace(power_cells.v3))
     if route == "strain":
@@ -202,5 +202,7 @@ def test_gram_cross_check_catches_a_perturbed_strain(params, power_cells, monkey
         stiffness = ns.P2Space.stiffness
         monkeypatch.setattr(ns.P2Space, "stiffness",
                             lambda space, p: stiffness(space, p) * (1.0 + 1e-6))
+        # the solver assembles K once, so the faulty K enters through a new one
+        cells = replace(cells, solver=ns.DirichletSolver(power_cells.solver.space.mesh, params))
     with pytest.raises(DecompositionError, match="V\\^T K V"):
         ns.assemble_system(params, cells)

@@ -155,21 +155,70 @@ def test_energy_integral_mesh_mismatch(power_mesh, params, power_profile):
         ns.energy_integral(params, fa, fb)
 
 
-def test_traction_moment_of_rigid_field(power_mesh, params):
+def test_traction_moment_of_rigid_field(power_mesh, power_solver):
     field = ns.interpolate(power_mesh, ns.rigid_basis(2)[0])
     for tag in (BT.INCLUSION_TOP, BT.INCLUSION_BOTTOM, BT.OUTER):
         for psi in ns.rigid_basis(2):
-            assert abs(ns.boundary_traction_moment(params, field, tag, psi)) < 1e-10
+            assert abs(ns.boundary_traction_moment(power_solver, field, tag, psi)) < 1e-10
 
 
-def test_traction_moment_unknown_tag(power_cells, params):
+def test_traction_moment_unknown_tag(power_cells):
     with pytest.raises(FemError):
-        ns.boundary_traction_moment(params, power_cells.v3, 99, ns.rigid_basis(2)[0])
+        ns.boundary_traction_moment(power_cells.solver, power_cells.v3, 99,
+                                    ns.rigid_basis(2)[0])
 
 
-def test_b_vector_volume_vs_traction(power_cells, params, power_system):
+def test_traction_moment_rejects_a_field_on_another_mesh(power_solver, flat_mesh):
+    field = ns.interpolate(flat_mesh, ns.rigid_basis(2)[0])
+    with pytest.raises(FemError, match="different meshes"):
+        ns.boundary_traction_moment(power_solver, field, BT.OUTER, ns.rigid_basis(2)[0])
+
+
+def test_stiffness_product_equals_full_k(power_cells, params):
+    """The solver's block product K V equals the assembled K's: bit for bit
+    in the boundary rows, to 1e-13 relative overall, for the solved cell
+    fields, for random columns and for a single vector."""
+    solver = power_cells.solver
+    k = solver.space.stiffness(params)
+    cell_fields = [power_cells.v[key] for key in sorted(power_cells.v)] + [power_cells.v3]
+    blocks = [np.column_stack([f.vec() for f in cell_fields]),
+              rng(3).standard_normal((k.shape[0], 4)),
+              power_cells.v3.vec()]
+    for v in blocks:
+        want = k @ v
+        got = solver.stiffness_product(v)
+        assert got.shape == want.shape
+        assert np.array_equal(got[solver.bdofs], want[solver.bdofs])
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _full_k_traction_moment(params, field, tag, motion):
+    """Oracle: the residual pairing with the whole assembled stiffness."""
+    space = field.space
+    dofs = space.tag_scalar_dofs(tag)
+    r = space.stiffness(params) @ field.vec()
+    psi = motion(space.dof_coords[dofs])
+    val = float(np.sum(psi[:, 0] * r[2 * dofs]) + np.sum(psi[:, 1] * r[2 * dofs + 1]))
+    return val if int(tag) == int(BT.OUTER) else -val
+
+
+def test_traction_moments_match_the_full_k_pairing(power_cells, power_system, params):
+    u = ns.reconstruct(power_cells, power_system)
+    for field in (power_cells.v3, power_cells.v[(1, 2)], u):
+        want = {(tag, psi.index): _full_k_traction_moment(params, field, tag, psi)
+                for tag in (BT.INCLUSION_TOP, BT.INCLUSION_BOTTOM, BT.OUTER)
+                for psi in power_cells.basis}
+        scale = max(abs(w) for w in want.values())
+        assert scale > 0.0
+        for (tag, index), w in want.items():
+            psi = power_cells.basis[index - 1]
+            got = ns.boundary_traction_moment(power_cells.solver, field, tag, psi)
+            assert abs(got - w) <= 1e-13 * scale
+
+
+def test_b_vector_volume_vs_traction(power_cells, power_system):
     b_tr = np.array([
-        ns.boundary_traction_moment(params, power_cells.v3, BT.INCLUSION_TOP, psi)
+        ns.boundary_traction_moment(power_cells.solver, power_cells.v3, BT.INCLUSION_TOP, psi)
         for psi in power_cells.basis
     ])
     rel = np.linalg.norm(b_tr - power_system.b1) / np.linalg.norm(power_system.b1)
@@ -392,7 +441,8 @@ def test_traction_moment_closed_form_constant_stress(power_mesh, power_profile):
     assert polygon_area == pytest.approx(np.pi * power_profile.outer_radius ** 2,
                                          rel=5e-3)
 
-    got = ns.boundary_traction_moment(params, field, BT.OUTER, lambda pts: pts)
+    solver = ns.DirichletSolver(power_mesh, params)
+    got = ns.boundary_traction_moment(solver, field, BT.OUTER, lambda pts: pts)
     assert got == pytest.approx(np.trace(sigma) * polygon_area, rel=1e-12)
 
 

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import types
 import weakref
 from dataclasses import replace
 
@@ -332,3 +333,49 @@ def test_point_frees_its_mesh_without_the_cycle_collector(monkeypatch):
     finally:
         if was_enabled:
             gc.enable()
+
+
+def _reachable_ids(root) -> set:
+    """Ids of every object reachable from ``root`` by references, not
+    entering classes or modules."""
+    seen, todo = set(), [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        todo.extend(gc.get_referents(obj))
+    return seen
+
+
+def test_point_holds_its_stiffness_once(monkeypatch):
+    """A point assembles K once and the solver keeps only blocks of it: the
+    assembled matrix is freed before the incomplete LU is computed, and no
+    factor is reachable from the solved cell problems afterwards."""
+    stiffness, spilu = ns.P2Space.stiffness, ns.fem.spla.spilu
+    solve_cells = ns.harness.solve_cell_problems
+    assembled, alive_at_factor, factors, solved = [], [], [], []
+
+    def recording_stiffness(space, params):
+        k = stiffness(space, params)
+        assembled.append(weakref.ref(k))
+        return k
+
+    def recording_spilu(*args, **kwargs):
+        alive_at_factor.append([ref() is not None for ref in assembled])
+        factors.append(spilu(*args, **kwargs))
+        return factors[-1]
+
+    def recording_solve_cells(*args, **kwargs):
+        solved.append(solve_cells(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(ns.P2Space, "stiffness", recording_stiffness)
+    monkeypatch.setattr(ns.fem.spla, "spilu", recording_spilu)
+    monkeypatch.setattr(ns.harness, "solve_cell_problems", recording_solve_cells)
+    row = ns.run_point(FAST, FAST.eps_list[0])
+    assert row["status"] == "ok"
+    assert len(assembled) == 1
+    assert alive_at_factor == [[False]]
+    assert len(solved) == 1 and len(factors) == 1
+    assert id(factors[0]) not in _reachable_ids(solved[0])

@@ -94,6 +94,14 @@ def test_budget_error():
         ns.build_mesh(p, GradingConfig(max_cells=500))
 
 
+@pytest.mark.parametrize("ratio", [0.5, 0.999, float("nan"), float("inf")])
+def test_radial_ratio_below_one_or_non_finite_is_rejected(ratio):
+    # below 1 the ring spacings sum to less than a ray and meshing never ends
+    p = ns.make_profile("power", epsilon=1e-2, m=2.0)
+    with pytest.raises(MeshingError, match="radial_ratio"):
+        ns.build_mesh(p, GradingConfig(radial_ratio=ratio))
+
+
 def test_dim3_rejected():
     p = ns.make_profile("power", dim=3, epsilon=1e-2, m=2.0)
     with pytest.raises(MeshingError):
