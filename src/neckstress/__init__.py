@@ -13,7 +13,6 @@ from .asymptotics import (
     rho_law,
     singular_integral_oracle,
     vbar,
-    vbar_grad,
     vtilde,
 )
 from .decomposition import (
@@ -28,11 +27,8 @@ from .decomposition import (
 from .elasticity import (
     ElasticParams,
     RigidMotion,
-    energy_pairing,
-    lame_apply,
     n_rigid,
     rigid_basis,
-    strain,
 )
 from .fem import (
     DirichletSolver,

@@ -58,23 +58,6 @@ def vbar(profile: NeckProfile, x) -> float | np.ndarray:
     return out
 
 
-def vbar_grad(profile: NeckProfile, x) -> np.ndarray:
-    """Analytic gradient of vbar; the vertical component is exactly 1/gap."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    x1, x2 = pts[:, 0], pts[:, 1]
-    profile._check_chart(x1)
-    bot = profile.bottom(x1)
-    delta = profile.top(x1) - bot
-    db = -profile.dh1(x1)           # h2 = -h1
-    dd = 2.0 * profile.dh1(x1)
-    g = np.empty_like(pts)
-    g[:, 0] = (-db * delta - (x2 - bot) * dd) / (delta * delta)
-    g[:, 1] = 1.0 / delta
-    if np.ndim(x) == 1:
-        return g[0]
-    return g
-
-
 def vtilde(profile: NeckProfile, psi, x) -> np.ndarray:
     """Explicit competitor field psi(x1, top(x1)) * vbar(x) on the chart.
 

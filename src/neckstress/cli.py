@@ -35,29 +35,24 @@ from .meshing import build_mesh, save_mesh
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="key = value config file; flags override it")
     p.add_argument("--profile", choices=["flat", "power"], help="geometry family")
-    p.add_argument("--dim", type=int)
     p.add_argument("--m", type=float, help="relative-convexity order (power)")
     p.add_argument("--r0", type=float, help="flat-set radius (flat)")
     p.add_argument("--kappa0", type=float)
     p.add_argument("--eps-list", dest="eps_list", help="comma-separated, decreasing")
     p.add_argument("--phi", help="affine-x2 | affine-x2x2 | shear-twist | rigid:<a> | zero")
-    p.add_argument("--mesh-budget", dest="max_cells", type=int)
-    p.add_argument("--layers", dest="n_layers", type=int)
+    p.add_argument("--mesh-budget", type=int)
+    p.add_argument("--layers", type=int)
     p.add_argument("--budget-scale", dest="budget_scale", type=float)
-    p.add_argument("--tol", dest="solver_tol", type=float)
+    p.add_argument("--tol", type=float)
     p.add_argument("--out", dest="out", help="output path")
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    mapping = {}
-    if args.config:
-        mapping.update(load_config_file(args.config))
-    for key in ("profile", "dim", "m", "r0", "kappa0", "eps_list", "phi",
-                "max_cells", "n_layers", "budget_scale", "solver_tol"):
-        val = getattr(args, key, None)
-        if val is not None:
-            mapping[key] = val
-    return config_from_mapping(mapping)
+    config = config_from_mapping(load_config_file(args.config) if args.config else {})
+    flags = {key: getattr(args, key) for key in (
+        "profile", "m", "r0", "kappa0", "eps_list", "phi",
+        "mesh_budget", "layers", "budget_scale", "tol")}
+    return config_from_mapping(flags, config)
 
 
 def main(argv=None) -> int:

@@ -1,8 +1,8 @@
-"""Isotropic elasticity kernel: constitutive tensor, strain, energy pairing,
-and the rigid-displacement basis.
+"""Isotropic elastic moduli and the rigid-displacement basis.
 
 The material law is C[A] = lam*tr(A)*I + 2*mu*A for symmetric A, with
-ellipticity requiring mu > 0 and d*lam + 2*mu > 0.
+ellipticity requiring mu > 0 and d*lam + 2*mu > 0.  The finite-element
+layer (``fem``) evaluates it on strains at quadrature points.
 """
 
 from __future__ import annotations
@@ -40,50 +40,6 @@ class ElasticParams:
                     f"delta0 = {self.delta0} does not bracket (mu, d*lam+2*mu) "
                     f"= ({self.mu}, {top})")
 
-    def ellipticity_bounds(self):
-        """(min, max) of the quadratic form (C[eta], eta)/|eta|^2 on symmetric eta."""
-        lo = min(2.0 * self.mu, self.dim * self.lam + 2.0 * self.mu)
-        hi = max(2.0 * self.mu, self.dim * self.lam + 2.0 * self.mu)
-        return lo, hi
-
-
-def stiffness_entry(params: ElasticParams, i: int, j: int, k: int, l: int) -> float:
-    """Component C_ijkl = lam*d_ij*d_kl + mu*(d_ik*d_jl + d_il*d_jk)."""
-    d = lambda a, b: 1.0 if a == b else 0.0
-    return params.lam * d(i, j) * d(k, l) + params.mu * (d(i, k) * d(j, l) + d(i, l) * d(j, k))
-
-
-def _require_symmetric(a: np.ndarray, tol: float = 1e-12):
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ElasticityError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.abs(a).max()))
-    if np.abs(a - a.T).max() > tol * scale:
-        raise ElasticityError("matrix is not symmetric")
-
-
-def lame_apply(params: ElasticParams, a: np.ndarray) -> np.ndarray:
-    """Apply the constitutive tensor: lam*tr(a)*I + 2*mu*a (a symmetric)."""
-    a = np.asarray(a, dtype=float)
-    _require_symmetric(a)
-    return params.lam * np.trace(a) * np.eye(a.shape[0]) + 2.0 * params.mu * a
-
-
-def strain(grad_u: np.ndarray) -> np.ndarray:
-    """Symmetric part of a displacement gradient."""
-    g = np.asarray(grad_u, dtype=float)
-    return 0.5 * (g + g.swapaxes(-1, -2))
-
-
-def energy_pairing(params: ElasticParams, e_u: np.ndarray, e_v: np.ndarray) -> float:
-    """(C[e_u], e_v) for symmetric strains; symmetric in its arguments."""
-    e_u = np.asarray(e_u, dtype=float)
-    e_v = np.asarray(e_v, dtype=float)
-    _require_symmetric(e_u)
-    _require_symmetric(e_v)
-    return float(
-        params.lam * np.trace(e_u) * np.trace(e_v) + 2.0 * params.mu * np.sum(e_u * e_v)
-    )
-
 
 @dataclass(frozen=True)
 class RigidMotion:
@@ -111,15 +67,6 @@ class RigidMotion:
         if np.ndim(points) == 1:
             return out[0]
         return out
-
-    def grad(self) -> np.ndarray:
-        """Constant gradient matrix, antisymmetric (zero for translations)."""
-        g = np.zeros((self.dim, self.dim))
-        if self.rotation is not None:
-            j, k = self.rotation
-            g[k, j] = 1.0
-            g[j, k] = -1.0
-        return g
 
 
 def rigid_basis(dim: int) -> list[RigidMotion]:

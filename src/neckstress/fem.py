@@ -9,10 +9,10 @@ solved together by one block preconditioned CG run (``DirichletSolver``).
 The solver is the one owner of a point's operator: it assembles the
 stiffness once, keeps only the blocks it needs, and drops the full matrix
 before the factorization; every later product with the stiffness (Gram
-matrix, traction moments) goes through it.  A mesh's ``P2Space`` (dof
-layout and geometry factors) is shared through ``P2Space.get`` and held by
-the mesh only weakly, so a point's mesh and space are freed by reference
-counting as soon as the point is done.
+matrix, traction moments) goes through it.  The solver also builds the
+mesh's ``P2Space`` (dof layout and geometry factors), and every field of the
+point lives on that space.  The mesh holds no reference back, so a point's
+mesh and space are freed by reference counting as soon as the point is done.
 
 The weak form is int_Omega lam*div(u)*div(v) + 2*mu*e(u):e(v); with the
 degree-2 quadrature rule below it is integrated exactly on affine cells.
@@ -21,7 +21,6 @@ degree-2 quadrature rule below it is integrated exactly on affine cells.
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -145,22 +144,6 @@ class P2Space:
         self.dirichlet_scalar = np.unique(np.concatenate(
             [v for v in self._tag_dofs.values()]))
 
-    @classmethod
-    def get(cls, mesh: Mesh) -> "P2Space":
-        """The mesh's space, built on first use and shared while it is alive.
-
-        The mesh holds its space through a weak reference: the space already
-        holds the mesh, and a strong reference back would make every point's
-        mesh, space and geometry arrays a reference cycle that only the
-        cyclic garbage collector frees, so memory would grow over a sweep
-        until a collection ran."""
-        ref = getattr(mesh, "_p2_space", None)
-        space = None if ref is None else ref()
-        if space is None:
-            space = cls(mesh)
-            object.__setattr__(mesh, "_p2_space", weakref.ref(space))
-        return space
-
     def tag_scalar_dofs(self, tag) -> np.ndarray:
         try:
             return self._tag_dofs[int(tag)]
@@ -177,13 +160,19 @@ class P2Space:
         dot = np.einsum("mq,mqak,mqbk->mab", w, g, g)
         # sum_q w g[a, d] g[b, c] at [m, a, c, b, d]: a1 with c and d swapped
         a3 = a1.transpose(0, 1, 4, 3, 2)
-        k = lam * a1 + mu * a3
+        # in place, and the factors freed before the sparse conversion, so
+        # fewer (m, 144) arrays are alive at the assembly's memory peak
+        k = lam * a1
+        k += mu * a3
         k[:, :, 0, :, 0] += mu * dot
         k[:, :, 1, :, 1] += mu * dot
+        del a1, a3, dot
         m = g.shape[0]
         k = k.reshape(m, 12, 12)
 
-        vdofs = np.empty((m, 12), dtype=np.int64)
+        # int32, as scipy stores the CSR indices: int64 COO indices would
+        # double their memory only to be narrowed during the conversion
+        vdofs = np.empty((m, 12), dtype=np.int32)
         vdofs[:, 0::2] = 2 * self.cell_dofs
         vdofs[:, 1::2] = 2 * self.cell_dofs + 1
         rows = np.repeat(vdofs, 12, axis=1).ravel()
@@ -295,7 +284,7 @@ class DirichletSolver:
 
     def __init__(self, mesh: Mesh, params: ElasticParams,
                  config: SolverConfig | None = None):
-        self.space = P2Space.get(mesh)
+        self.space = P2Space(mesh)
         self.params = params
         self.config = config or SolverConfig()
         a = self.space.stiffness(params)
@@ -425,8 +414,7 @@ class DirichletSolver:
         return fields, report
 
 
-def interpolate(mesh_or_space, fn, name: str = "interp") -> DisplacementField:
-    space = mesh_or_space if isinstance(mesh_or_space, P2Space) else P2Space.get(mesh_or_space)
+def interpolate(space: P2Space, fn, name: str = "interp") -> DisplacementField:
     vals = _evaluate_bc(fn, space.dof_coords)
     return DisplacementField(space, vals, name)
 

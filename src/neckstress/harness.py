@@ -64,11 +64,11 @@ def default_eps_list(n: int = 8) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: geometry family, boundary data, mesh and solver knobs,
-    and the strictly decreasing list of gap widths to sweep."""
+    """One two-dimensional experiment: geometry family, boundary data, mesh
+    and solver knobs, and the strictly decreasing list of gap widths to
+    sweep."""
 
     kind: str = "power"            # "power" | "flat"
-    dim: int = 2
     m: float = 2.0
     r0: float = 0.0
     kappa0: float = 1.0
@@ -97,11 +97,11 @@ class ExperimentConfig:
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise HarnessError("eps_list must be strictly decreasing")
         object.__setattr__(self, "eps_list", eps)
-        resolve_phi(self.phi, self.dim)   # validates the selector
+        resolve_phi(self.phi)   # validates the selector
 
     def profile_for(self, eps: float) -> NeckProfile:
         return make_profile(
-            self.kind, dim=self.dim, epsilon=eps, kappa0=self.kappa0,
+            self.kind, epsilon=eps, kappa0=self.kappa0,
             m=self.m if self.kind == "power" else None,
             r0=self.r0 if self.kind == "flat" else 0.0,
             r_neck=self.r_neck, outer_radius=self.outer_radius,
@@ -117,7 +117,7 @@ class ExperimentConfig:
         )
 
     def elastic(self) -> ElasticParams:
-        return ElasticParams(self.lam, self.mu, self.dim)
+        return ElasticParams(self.lam, self.mu)
 
     def solver(self) -> SolverConfig:
         return SolverConfig(tol=self.solver_tol)
@@ -128,11 +128,9 @@ class ExperimentConfig:
         return ("power", self.m if self.kind == "power" else 2.0)
 
 
-def resolve_phi(selector: str, dim: int = 2):
+def resolve_phi(selector: str):
     """Boundary-data selector to callable: 'affine-x2' is (x2, 0),
     'affine-x2x2' is (x2, x2), 'rigid:<a>' the a-th rigid motion, 'zero'."""
-    if dim != 2:
-        raise HarnessError("boundary-data selectors support dim = 2 only")
     if callable(selector):
         return selector
     if selector == "zero":
@@ -148,7 +146,7 @@ def resolve_phi(selector: str, dim: int = 2):
         return lambda pts: np.column_stack([pts[:, 1], pts[:, 0] * pts[:, 1]])
     if selector.startswith("rigid:"):
         alpha = int(selector.split(":", 1)[1])
-        basis = rigid_basis(dim)
+        basis = rigid_basis(2)
         if not 1 <= alpha <= len(basis):
             raise HarnessError(f"rigid index must be 1..{len(basis)}")
         return basis[alpha - 1]
@@ -182,7 +180,7 @@ def _measure_point(config: ExperimentConfig, eps: float, row: dict):
     profile = config.profile_for(eps)
     mesh = build_mesh(profile, config.grading())
     params = config.elastic()
-    phi = resolve_phi(config.phi, config.dim)
+    phi = resolve_phi(config.phi)
     cells = solve_cell_problems(mesh, params, phi, config.solver())
     system = solve_coefficients(assemble_system(params, cells))
     u = reconstruct(cells, system)
@@ -261,13 +259,9 @@ def dumps_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def write_csv(rows: list[dict], path: str, append: bool = False):
-    mode = "a" if append else "w"
-    text = dumps_csv(rows)
-    if append:
-        text = "".join(text.splitlines(keepends=True)[2:])
-    with open(path, mode, encoding="utf-8", newline="") as f:
-        f.write(text)
+def write_csv(rows: list[dict], path: str):
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(dumps_csv(rows))
 
 
 def read_csv(path: str) -> list[dict]:
@@ -379,7 +373,7 @@ def sweep_summary(config: ExperimentConfig, rows: list[dict]) -> dict:
         "fits": {},
     }
     if len(ok) >= 4:
-        pred = asy.predicted_rate(config.dim, geometry)
+        pred = asy.predicted_rate(2, geometry)
         for col in ("max_grad_u", "a11_11", "a11_33", "cdiff_1", "cdiff_2",
                     "cdiff_3", "sumgrad_1", "sumgrad_2", "sumgrad_3",
                     "maxgrad_v11"):
@@ -418,7 +412,7 @@ def _diag_envelope_terms(config: ExperimentConfig, al: int):
     """The analytic terms whose nonnegative combination bounds a diagonal
     a11 entry; the universal constants in the laws are unknown, so each
     term carries a calibration constant fitted per experiment."""
-    d = config.dim
+    d = 2
     if config.kind == "flat" and config.r0 > 0.0:
         sigma = 2.0 * config.r0
         if al <= d:
@@ -454,7 +448,7 @@ def compare_oracles(config: ExperimentConfig, rows: list[dict],
     ok = [r for r in rows if r["status"] == "ok"]
     if len(ok) < 4:
         raise HarnessError("need at least 4 successful rows to compare")
-    d = config.dim
+    d = 2
     report = {"entries": {}, "offdiag": {}}
 
     for lab, (al, be) in DIAG_ENTRIES.items():
@@ -557,8 +551,9 @@ def patch_energy_profile(config: ExperimentConfig, eps: float,
 # config files
 
 def load_config_file(path: str) -> dict:
-    """key = value lines; '#' starts a comment.  Keys use the CLI flag
-    names with '-' or '_'; values are parsed like CLI arguments."""
+    """key = value lines; '#' starts a comment.  A key is a CLI flag name
+    or an ``ExperimentConfig`` field name, with '-' or '_'; values are
+    parsed like CLI arguments."""
     out = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, 1):
@@ -572,8 +567,12 @@ def load_config_file(path: str) -> dict:
     return out
 
 
+# CLI flag names (with '_' for '-') that differ from the field they set
+_FLAG_FIELDS = {"profile": "kind", "mesh_budget": "max_cells",
+                "layers": "n_layers", "tol": "solver_tol"}
+
 _CONFIG_FIELD_TYPES = {
-    "kind": str, "dim": int, "m": float, "r0": float, "kappa0": float,
+    "kind": str, "m": float, "r0": float, "kappa0": float,
     "r_neck": float, "outer_radius": float, "phi": str, "lam": float,
     "mu": float, "n_layers": int, "dx_min_frac": float,
     "dx_max_frac": float, "arc_frac": float, "n_radial": int,
@@ -589,13 +588,12 @@ def config_from_mapping(mapping: dict, base: ExperimentConfig | None = None) -> 
     for key, raw in mapping.items():
         if raw is None:
             continue
+        key = _FLAG_FIELDS.get(key, key)
         if key == "eps_list":
             if isinstance(raw, str):
                 kwargs[key] = tuple(float(s) for s in raw.split(",") if s.strip())
             else:
                 kwargs[key] = tuple(float(v) for v in raw)
-        elif key == "profile":
-            kwargs["kind"] = str(raw)
         elif key in _CONFIG_FIELD_TYPES:
             kwargs[key] = _CONFIG_FIELD_TYPES[key](raw)
         else:

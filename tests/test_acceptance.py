@@ -148,7 +148,7 @@ def test_criterion_6_rigid_motion_exactness():
         cells = ns.solve_cell_problems(mesh, params, psi, solver)
         system = ns.solve_coefficients(ns.assemble_system(params, cells))
         u = ns.reconstruct(cells, system)
-        exact = ns.interpolate(mesh, psi)
+        exact = ns.interpolate(cells.solver.space, psi)
         worst_nodal = max(worst_nodal, float(np.abs(u.values - exact.values).max()))
         ind = np.zeros(3)
         ind[gamma - 1] = 1.0

@@ -22,21 +22,6 @@ def test_vbar_values():
     assert ns.vbar(p, bottom) == pytest.approx(0.0)
 
 
-def test_vbar_vertical_derivative_is_inverse_gap():
-    p = ns.make_profile("flat", epsilon=0.01, r0=0.3)
-    g = ns.vbar_grad(p, np.array([0.0, 0.004]))
-    assert g[1] == pytest.approx(100.0)
-    assert g[0] == pytest.approx(0.0, abs=1e-12)
-    pw = ns.make_profile("power", epsilon=0.01, m=2.0)
-    x = np.array([0.2, 0.01])
-    g = ns.vbar_grad(pw, x)
-    assert g[1] == pytest.approx(1.0 / ns.gap(pw, 0.2))
-    # finite-difference check of the lateral derivative
-    h = 1e-7
-    fd = (ns.vbar(pw, x + [h, 0.0]) - ns.vbar(pw, x - [h, 0.0])) / (2 * h)
-    assert g[0] == pytest.approx(fd, rel=1e-5)
-
-
 def test_vbar_out_of_gap():
     p = ns.make_profile("power", epsilon=0.01, m=2.0)
     with pytest.raises(ns.ChartError):

@@ -5,6 +5,7 @@ import pytest
 import neckstress.fem
 from neckstress import load_mesh, read_csv
 from neckstress.cli import main, oracle_table
+from neckstress.harness import HarnessError, config_from_mapping
 from neckstress.meshing import MeshingError
 
 
@@ -98,6 +99,50 @@ def test_cli_flag_overrides_config(tmp_path, capsys):
     rc = main(["mesh", "--config", str(cfg), "--profile", "power",
                "--m", "2", "--eps", "1e-2"])
     assert rc == 0
+
+
+@pytest.mark.parametrize("line,field,value", [
+    ("layers = 6", "n_layers", 6),
+    ("mesh-budget = 5000", "max_cells", 5000),
+    ("tol = 1e-12", "solver_tol", 1e-12),
+], ids=["layers", "mesh-budget", "tol"])
+def test_config_file_takes_the_flag_name(tmp_path, monkeypatch, line, field, value):
+    """A config-file key spelled like its flag sets the same field as the
+    flag does."""
+    seen = []
+    monkeypatch.setattr(neckstress.cli, "run_sweep", lambda config: seen.append(config) or [])
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    flag, raw = (s.strip() for s in line.split("="))
+    assert main(["sweep", f"--{flag}", raw]) == 0
+    assert [getattr(c, field) for c in seen] == [value, value]
+
+
+def test_flag_overrides_a_config_key_of_either_name(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(neckstress.cli, "run_sweep", lambda config: seen.append(config) or [])
+    cfg = tmp_path / "exp.cfg"
+    for text in ("layers = 6\n", "n_layers = 6\n", "layers = 5\nn_layers = 6\n"):
+        cfg.write_text(text)
+        assert main(["sweep", "--config", str(cfg), "--layers", "3"]) == 0
+    assert [c.n_layers for c in seen] == [3, 3, 3]
+
+
+def test_dim_is_not_a_config_key(tmp_path):
+    with pytest.raises(HarnessError, match="dim"):
+        config_from_mapping({"dim": 2})
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("dim = 2\n")
+    with pytest.raises(HarnessError, match="dim"):
+        main(["mesh", "--config", str(cfg)])
+
+
+def test_dim_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["mesh", "--dim", "2"])
+    assert exc.value.code == 2
+    assert "--dim" in capsys.readouterr().err
 
 
 def test_mesh_subcommand_rejects_radial_ratio_below_one(tmp_path):

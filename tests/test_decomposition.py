@@ -104,7 +104,7 @@ def test_rigid_data_propagates(power_mesh, params, gamma):
     assert np.abs(system.c1 - indicator).max() < 1e-8
     assert np.abs(system.c2 - indicator).max() < 1e-8
     u = ns.reconstruct(cells, system)
-    exact = ns.interpolate(power_mesh, psi)
+    exact = ns.interpolate(cells.solver.space, psi)
     assert np.abs(u.values - exact.values).max() < 1e-8
 
 

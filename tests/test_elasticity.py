@@ -1,31 +1,10 @@
-import itertools
-
 import numpy as np
 import pytest
 
 import neckstress as ns
-from neckstress.elasticity import ElasticityError, stiffness_entry
+from neckstress.elasticity import ElasticityError
 
 from conftest import rng
-
-
-def test_lame_apply_identity():
-    params = ns.ElasticParams(1.0, 1.0, 2)
-    out = ns.lame_apply(params, np.eye(2))
-    assert np.allclose(out, np.diag([4.0, 4.0]))
-
-
-def test_lame_apply_zero_and_shear():
-    params = ns.ElasticParams(2.0, 3.0, 2)
-    assert np.allclose(ns.lame_apply(params, np.zeros((2, 2))), 0.0)
-    shear = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert np.allclose(ns.lame_apply(params, shear), 6.0 * shear)
-
-
-def test_lame_apply_rejects_nonsymmetric():
-    params = ns.ElasticParams(1.0, 1.0, 2)
-    with pytest.raises(ElasticityError):
-        ns.lame_apply(params, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_ellipticity_validation():
@@ -44,23 +23,16 @@ def test_delta0_band():
         ns.ElasticParams(1.0, 1.0, 2, delta0=2.0)    # delta0 > mu
 
 
-def test_strain():
-    g = rng(1).normal(size=(2, 2))
-    e = ns.strain(g)
-    assert np.allclose(e, e.T)
-    anti = np.array([[0.0, -1.0], [1.0, 0.0]])
-    assert np.allclose(ns.strain(anti), 0.0)
-    sym = np.array([[1.0, 2.0], [2.0, -3.0]])
-    assert np.allclose(ns.strain(sym), sym)
-
-
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_rigid_basis_strains_vanish(dim):
     basis = ns.rigid_basis(dim)
     assert len(basis) == dim * (dim + 1) // 2
+    # the motions are linear, so central differences are exact up to rounding
+    x = rng(dim).normal(size=dim)
+    steps = 0.5 * np.eye(dim)
     for psi in basis:
-        g = psi.grad()
-        assert np.allclose(g + g.T, 0.0)
+        g = (psi(x + steps) - psi(x - steps)).T      # g[i, j] = d psi_i / d x_j
+        assert np.allclose(g + g.T, 0.0, atol=1e-14)
 
 
 def test_rigid_basis_ordering_d2():
@@ -77,48 +49,3 @@ def test_rigid_basis_ordering_d3():
     pts = np.array([[1.0, 2.0, 3.0]])
     # alpha = 4 is the first rotation, (-x2, x1, 0)
     assert np.allclose(basis[3](pts), [[-2.0, 1.0, 0.0]])
-
-
-def test_energy_pairing_identity():
-    params = ns.ElasticParams(1.0, 1.0, 2)
-    val = ns.energy_pairing(params, np.eye(2), np.eye(2))
-    assert val == pytest.approx(8.0)
-    assert ns.energy_pairing(params, np.zeros((2, 2)), np.eye(2)) == 0.0
-
-
-def test_energy_pairing_symmetric_in_arguments():
-    params = ns.ElasticParams(1.4, 0.7, 2)
-    r = rng(2)
-    for _ in range(20):
-        a = ns.strain(r.normal(size=(2, 2)))
-        b = ns.strain(r.normal(size=(2, 2)))
-        assert ns.energy_pairing(params, a, b) == pytest.approx(
-            ns.energy_pairing(params, b, a), rel=1e-12)
-
-
-@pytest.mark.parametrize("lam,mu,dim", [(1.0, 1.0, 2), (5.0, 0.3, 2), (-0.4, 1.0, 3)])
-def test_ellipticity_bounds_on_random_strains(lam, mu, dim):
-    params = ns.ElasticParams(lam, mu, dim)
-    lo, hi = params.ellipticity_bounds()
-    r = rng(3)
-    for _ in range(50):
-        eta = ns.strain(r.normal(size=(dim, dim)))
-        norm2 = float(np.sum(eta * eta))
-        q = ns.energy_pairing(params, eta, eta)
-        assert lo * norm2 - 1e-12 <= q <= hi * norm2 + 1e-12
-        assert q >= 0.0
-
-
-def test_energy_pairing_zero_iff_zero_strain():
-    params = ns.ElasticParams(1.0, 1.0, 2)
-    eta = ns.strain(rng(4).normal(size=(2, 2)))
-    assert ns.energy_pairing(params, eta, eta) > 0.0
-    assert ns.energy_pairing(params, np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
-
-
-def test_stiffness_tensor_symmetries():
-    params = ns.ElasticParams(1.3, 0.8, 3)
-    for i, j, k, l in itertools.product(range(3), repeat=4):
-        c = stiffness_entry(params, i, j, k, l)
-        assert c == pytest.approx(stiffness_entry(params, k, l, i, j))
-        assert c == pytest.approx(stiffness_entry(params, k, l, j, i))

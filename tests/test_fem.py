@@ -19,7 +19,7 @@ def test_rigid_bc_reproduced_exactly(power_mesh, params, alpha):
     psi = ns.rigid_basis(2)[alpha]
     (f,), rep = solver.solve({"psi": {BT.INCLUSION_TOP: psi, BT.INCLUSION_BOTTOM: psi,
                                       BT.OUTER: psi}})
-    exact = ns.interpolate(power_mesh, psi)
+    exact = ns.interpolate(solver.space, psi)
     assert np.abs(f.values - exact.values).max() < 1e-10
     assert rep.rel_residual <= 1e-11
 
@@ -50,14 +50,14 @@ def test_v1_gradient_sandwich(power_profile, power_cells):
     assert ratios.min() > 0.05
 
 
-def test_gradient_at_rigid_rotation(power_mesh):
-    field = ns.interpolate(power_mesh, ns.rigid_basis(2)[2])
+def test_gradient_at_rigid_rotation(power_solver):
+    field = ns.interpolate(power_solver.space, ns.rigid_basis(2)[2])
     g = ns.gradient_at(field, np.array([3.0, 0.5]))
     assert np.allclose(g, [[0.0, -1.0], [1.0, 0.0]], atol=1e-10)
 
 
-def test_gradient_at_constant_field(power_mesh):
-    field = ns.interpolate(power_mesh, np.array([0.3, -0.7]))
+def test_gradient_at_constant_field(power_solver):
+    field = ns.interpolate(power_solver.space, np.array([0.3, -0.7]))
     g = ns.gradient_at(field, np.array([-2.5, 1.2]))
     assert np.allclose(g, 0.0, atol=1e-12)
 
@@ -77,7 +77,7 @@ def test_gradient_at_vbar_interpolant():
         out[:, 1] = np.where(inside, vb, 0.0)
         return out
 
-    field = ns.interpolate(mesh, fn)
+    field = ns.interpolate(ns.P2Space(mesh), fn)
     g = ns.gradient_at(field, np.array([0.0, p.epsilon / 2]))
     assert g[1, 1] == pytest.approx(1.0 / p.epsilon, rel=1e-6)
     assert abs(g[1, 0]) < 1e-6 / p.epsilon
@@ -119,8 +119,8 @@ def test_gradient_at_matches_cell_scan(power_mesh, power_cells):
             assert np.allclose(g, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
 
 
-def test_max_gradient_rigid(power_profile, power_mesh):
-    field = ns.interpolate(power_mesh, ns.rigid_basis(2)[2])
+def test_max_gradient_rigid(power_profile, power_solver):
+    field = ns.interpolate(power_solver.space, ns.rigid_basis(2)[2])
     val, _ = ns.max_gradient(field, ns.Region.everywhere())
     assert val == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
@@ -139,8 +139,8 @@ def test_max_gradient_regions_partition(power_profile, power_cells):
     assert abs(where[0]) < 0.1
 
 
-def test_energy_integral_rigid_orthogonal(power_mesh, params, power_cells):
-    rigid = ns.interpolate(power_mesh, ns.rigid_basis(2)[2])
+def test_energy_integral_rigid_orthogonal(params, power_cells):
+    rigid = ns.interpolate(power_cells.solver.space, ns.rigid_basis(2)[2])
     val = ns.energy_integral(params, power_cells.v[(1, 1)], rigid)
     scale = ns.energy_integral(params, power_cells.v[(1, 1)], power_cells.v[(1, 1)])
     assert abs(val) < 1e-8 * scale
@@ -149,14 +149,14 @@ def test_energy_integral_rigid_orthogonal(power_mesh, params, power_cells):
 
 def test_energy_integral_mesh_mismatch(power_mesh, params, power_profile):
     other = ns.build_mesh(power_profile, COARSE.refined(2.0))
-    fa = ns.interpolate(power_mesh, np.array([1.0, 0.0]))
-    fb = ns.interpolate(other, np.array([1.0, 0.0]))
+    fa = ns.interpolate(ns.P2Space(power_mesh), np.array([1.0, 0.0]))
+    fb = ns.interpolate(ns.P2Space(other), np.array([1.0, 0.0]))
     with pytest.raises(FemError):
         ns.energy_integral(params, fa, fb)
 
 
-def test_traction_moment_of_rigid_field(power_mesh, power_solver):
-    field = ns.interpolate(power_mesh, ns.rigid_basis(2)[0])
+def test_traction_moment_of_rigid_field(power_solver):
+    field = ns.interpolate(power_solver.space, ns.rigid_basis(2)[0])
     for tag in (BT.INCLUSION_TOP, BT.INCLUSION_BOTTOM, BT.OUTER):
         for psi in ns.rigid_basis(2):
             assert abs(ns.boundary_traction_moment(power_solver, field, tag, psi)) < 1e-10
@@ -169,7 +169,7 @@ def test_traction_moment_unknown_tag(power_cells):
 
 
 def test_traction_moment_rejects_a_field_on_another_mesh(power_solver, flat_mesh):
-    field = ns.interpolate(flat_mesh, ns.rigid_basis(2)[0])
+    field = ns.interpolate(ns.P2Space(flat_mesh), ns.rigid_basis(2)[0])
     with pytest.raises(FemError, match="different meshes"):
         ns.boundary_traction_moment(power_solver, field, BT.OUTER, ns.rigid_basis(2)[0])
 
@@ -413,7 +413,7 @@ def test_energy_integral_closed_form_linear_field(power_mesh):
     """Constant-strain field: energy = (lam*tr(e)^2 + 2*mu*|e|^2)*area."""
     params = ns.ElasticParams(1.3, 0.8, 2)
     a = np.array([[0.37, -0.21], [0.55, 0.12]])
-    field = ns.interpolate(power_mesh, lambda pts: pts @ a.T)
+    field = ns.interpolate(ns.P2Space(power_mesh), lambda pts: pts @ a.T)
     e = 0.5 * (a + a.T)
     density = params.lam * np.trace(e) ** 2 + 2.0 * params.mu * np.sum(e * e)
     area = float(np.sum(power_mesh.signed_areas()))
@@ -426,7 +426,8 @@ def test_traction_moment_closed_form_constant_stress(power_mesh, power_profile):
     tr(sigma) times the area enclosed by the discrete outer polygon."""
     params = ns.ElasticParams(1.3, 0.8, 2)
     a = np.array([[0.37, -0.21], [0.55, 0.12]])
-    field = ns.interpolate(power_mesh, lambda pts: pts @ a.T)
+    solver = ns.DirichletSolver(power_mesh, params)
+    field = ns.interpolate(solver.space, lambda pts: pts @ a.T)
     e = 0.5 * (a + a.T)
     sigma = params.lam * np.trace(e) * np.eye(2) + 2.0 * params.mu * e
 
@@ -441,7 +442,6 @@ def test_traction_moment_closed_form_constant_stress(power_mesh, power_profile):
     assert polygon_area == pytest.approx(np.pi * power_profile.outer_radius ** 2,
                                          rel=5e-3)
 
-    solver = ns.DirichletSolver(power_mesh, params)
     got = ns.boundary_traction_moment(solver, field, BT.OUTER, lambda pts: pts)
     assert got == pytest.approx(np.trace(sigma) * polygon_area, rel=1e-12)
 

@@ -144,14 +144,6 @@ def test_csv_roundtrip(tmp_path, fast_rows):
         assert b["status"] == a["status"]
 
 
-def test_csv_append(tmp_path, fast_rows):
-    path = tmp_path / "sweep.csv"
-    ns.write_csv(fast_rows[:2], str(path))
-    ns.write_csv(fast_rows[2:], str(path), append=True)
-    rows = ns.read_csv(str(path))
-    assert [r["eps"] for r in rows] == [r["eps"] for r in fast_rows]
-
-
 def test_sweep_summary_fits(fast_rows):
     summary = ns.sweep_summary(FAST, fast_rows)
     assert summary["n_failed"] == 0
@@ -307,8 +299,8 @@ def test_solver_columns_report_the_block_solve(monkeypatch, phi, maxiter, method
 
 def test_point_frees_its_mesh_without_the_cycle_collector(monkeypatch):
     """A point's mesh, space and stiffness are freed by reference counting:
-    the mesh holds its P2Space weakly, so no reference cycle is left for the
-    cyclic collector.  The space is still built once per point."""
+    the mesh holds no reference to its P2Space, so no reference cycle is
+    left for the cyclic collector.  The space is built once per point."""
     meshes, inits = [], []
     build, init = ns.harness.build_mesh, ns.P2Space.__init__
 
