@@ -7,7 +7,6 @@ from .asymptotics import (
     flat_entry_oracle,
     integral_law,
     gram_integral_cases,
-    pointwise_bound,
     predicted_rate,
     rho,
     rho_law,
@@ -65,6 +64,7 @@ from .harness import (
     resolve_phi,
     run_point,
     run_sweep,
+    solve_point,
     sweep_summary,
     write_csv,
 )

@@ -318,58 +318,6 @@ def _geometry_key(geometry):
     return str(kind).lower(), float(value)
 
 
-def pointwise_bound(d: int, geometry, epsilon: float, x_prime,
-                    phi_norm: float = 1.0, constant: float = 1.0):
-    """Pointwise gradient envelope at lateral offset x_prime.
-
-    Returns the envelope shape (without the universal
-    constant; callers supply a fitted ``constant``).  Flat geometries use
-    dist(x', flat set); order-m ones use |x'|^m.
-    """
-    kind, value = _geometry_key(geometry)
-    x = np.abs(np.asarray(x_prime, dtype=float))
-    eps = float(epsilon)
-    log = abs(math.log(eps))
-
-    if kind == "flat" and value > 0.0:
-        sigma = value
-        r0 = _flat_radius(d, sigma)
-        dist = np.maximum(x - r0, 0.0)
-        den = eps + dist ** 2
-        if d == 2:
-            out = (eps / (sigma + math.sqrt(eps))) / den \
-                + (eps / (sigma ** 3 + eps)) * x / den
-        elif d == 3:
-            out = (eps / (sigma + eps * log)) / den \
-                + (eps / (sigma ** 2 + eps)) * x / den
-        else:
-            q = (d + 1.0) / (d - 1.0)
-            out = (eps / (sigma + eps)) / den + (eps / (sigma ** q + eps)) * x / den
-        return constant * phi_norm * out
-
-    m = 2.0 if kind == "flat" else value
-    den = eps + x ** m
-    if m < d - 1:
-        out = 1.0 / den
-    elif m == d - 1:
-        out = 1.0 / (log * den) + x / den + 1.0
-    elif m < d + 1:
-        out = eps ** (1.0 - (d - 1.0) / m) / den + x / den + 1.0
-    elif m == d + 1:
-        out = eps ** (1.0 - (d - 1.0) / m) / den + x / (log * den) + 1.0
-    else:
-        out = eps ** (1.0 - (d - 1.0) / m) / den \
-            + eps ** (1.0 - (d + 1.0) / m) * x / den + 1.0
-    return constant * phi_norm * out
-
-
-def _flat_radius(d: int, sigma: float) -> float:
-    """Radius of the (d-1)-ball with measure sigma."""
-    k = d - 1
-    unit = math.pi ** (k / 2.0) / math.gamma(k / 2.0 + 1.0)
-    return (sigma / unit) ** (1.0 / k)
-
-
 def gram_integral_cases(d: int) -> list[tuple[int, float, int, int]]:
     """The (k, p) integrand pairs behind the Gram-entry scaling laws, as
     (k, p, rho_kind, rho_k) rows: translation/rotation diagonals give the

@@ -1,12 +1,13 @@
 """Isotropic elastic moduli and the rigid-displacement basis.
 
 The material law is C[A] = lam*tr(A)*I + 2*mu*A for symmetric A, with
-ellipticity requiring mu > 0 and d*lam + 2*mu > 0.  The finite-element
-layer (``fem``) evaluates it on strains at quadrature points.
+ellipticity requiring mu > 0 and 2*lam + 2*mu > 0 in the plane.  The
+finite-element layer (``fem``) evaluates it on strains at quadrature points.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,27 +19,22 @@ class ElasticityError(ValueError):
 
 @dataclass(frozen=True)
 class ElasticParams:
-    """Isotropic moduli; ``delta0`` optionally records a two-sided
-    ellipticity band delta0 <= mu, d*lam + 2*mu <= 1/delta0 for
-    constant-tracking experiments."""
+    """Isotropic plane (d = 2) moduli, finite and elliptic."""
 
     lam: float
     mu: float
-    dim: int = 2
-    delta0: float | None = None
 
     def __post_init__(self):
+        for name in ("lam", "mu"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ElasticityError(f"{name} must be finite, got {value}")
         if not (self.mu > 0.0):
             raise ElasticityError(f"mu must be positive, got {self.mu}")
-        top = self.dim * self.lam + 2.0 * self.mu
+        top = 2.0 * self.lam + 2.0 * self.mu
         if not (top > 0.0):
             raise ElasticityError(
-                f"ellipticity requires d*lam + 2*mu > 0, got {top}")
-        if self.delta0 is not None:
-            if not (0.0 < self.delta0 <= self.mu and top <= 1.0 / self.delta0):
-                raise ElasticityError(
-                    f"delta0 = {self.delta0} does not bracket (mu, d*lam+2*mu) "
-                    f"= ({self.mu}, {top})")
+                f"ellipticity requires 2*lam + 2*mu > 0, got {top}")
 
 
 @dataclass(frozen=True)

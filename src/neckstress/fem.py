@@ -20,6 +20,7 @@ degree-2 quadrature rule below it is integrated exactly on affine cells.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -200,6 +201,10 @@ class SolverConfig:
     (conditioning in the neck degrades like 1/eps)."""
 
     tol: float = 1e-10
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise FemError(f"tol must be finite and > 0, got {self.tol!r}")
 
 
 def _strain(space: P2Space, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -433,14 +438,6 @@ class Region:
     @classmethod
     def neck(cls, profile: NeckProfile, r: float | None = None) -> "Region":
         return cls("neck", profile, profile.r_neck if r is None else r)
-
-    @classmethod
-    def shell_minus_neck(cls, profile: NeckProfile, r: float | None = None) -> "Region":
-        return cls("shell", profile, profile.r_neck if r is None else r)
-
-    @classmethod
-    def everywhere(cls) -> "Region":
-        return cls("all")
 
     def point_mask(self, pts: np.ndarray) -> np.ndarray:
         if self.kind == "all":

@@ -51,7 +51,11 @@ class NeckProfile:
     def __post_init__(self):
         if self.dim < 2 or int(self.dim) != self.dim:
             raise GeometryError(f"dim must be an integer >= 2, got {self.dim}")
-        if not (self.epsilon > 0.0) or not math.isfinite(self.epsilon):
+        for name in ("epsilon", "kappa0", "m", "r0", "r_neck", "outer_radius"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise GeometryError(f"{name} must be finite, got {value}")
+        if not (self.epsilon > 0.0):
             raise GeometryError(f"epsilon must be positive, got {self.epsilon}")
         if not (self.kappa0 > 0.0):
             raise GeometryError(f"kappa0 must be positive, got {self.kappa0}")

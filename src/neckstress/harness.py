@@ -18,6 +18,8 @@ import numpy as np
 
 from . import asymptotics as asy
 from .decomposition import (
+    CellSolutions,
+    CoefficientSystem,
     assemble_system,
     reconstruct,
     solve_cell_problems,
@@ -26,7 +28,6 @@ from .decomposition import (
 )
 from .elasticity import ElasticParams, rigid_basis
 from .fem import (
-    DirichletSolver,
     DisplacementField,
     Region,
     SolverConfig,
@@ -176,19 +177,38 @@ def run_point(config: ExperimentConfig, eps: float) -> dict:
     return row
 
 
-def _measure_point(config: ExperimentConfig, eps: float, row: dict):
-    profile = config.profile_for(eps)
-    mesh = build_mesh(profile, config.grading())
-    params = config.elastic()
-    phi = resolve_phi(config.phi)
-    cells = solve_cell_problems(mesh, params, phi, config.solver())
-    system = solve_coefficients(assemble_system(params, cells))
-    u = reconstruct(cells, system)
+@dataclass(frozen=True)
+class SolvedPoint:
+    """One gap width solved: its profile, the cell problems with the solver
+    that holds their stiffness blocks, the coefficient system and the
+    reconstructed displacement."""
 
+    profile: NeckProfile
+    cells: CellSolutions
+    system: CoefficientSystem
+    u: DisplacementField
+
+
+def solve_point(config: ExperimentConfig, eps: float) -> SolvedPoint:
+    """Mesh the shell at one gap width and run the whole pipeline on it:
+    the cell problems in one block solve, the coefficient system, and the
+    reconstruction."""
+    profile = config.profile_for(eps)
+    # validated before meshing, so a bad modulus or tol fails at once
+    params, solver = config.elastic(), config.solver()
+    mesh = build_mesh(profile, config.grading())
+    cells = solve_cell_problems(mesh, params, resolve_phi(config.phi), solver)
+    system = solve_coefficients(assemble_system(params, cells))
+    return SolvedPoint(profile, cells, system, reconstruct(cells, system))
+
+
+def _measure_point(config: ExperimentConfig, eps: float, row: dict):
+    point = solve_point(config, eps)
+    profile, cells, system, u = point.profile, point.cells, point.system, point.u
     region = Region.neck(profile, config.neck_measure_frac * profile.r_neck)
     gmax, where = max_gradient(u, region)
     row["n_dofs"] = 2 * u.space.n_scalar
-    row["n_cells"] = mesh.n_cells
+    row["n_cells"] = u.space.mesh.n_cells
     row["max_grad_u"] = gmax
     row["argmax_x1"], row["argmax_x2"] = where
     labels = ["11", "12", "13", "22", "23", "33"]
@@ -508,22 +528,14 @@ def compare_oracles(config: ExperimentConfig, rows: list[dict],
 # ---------------------------------------------------------------------------
 # patch energies (local energy scaling of w = v1^1 - vtilde1^1)
 
-def patch_energy_profile(config: ExperimentConfig, eps: float,
-                         z_list) -> list[tuple[float, float]]:
+def patch_energy_profile(point: SolvedPoint, z_list) -> list[tuple[float, float]]:
     """(gap(z), int_{patch(z)} |grad w|^2) along lateral stations z.
 
     The patch at z is the full-height strip |x1 - z| < gap(z); w is the
-    first translation cell solution minus its explicit gap-linear
-    competitor.  The patch energies scale like gap(z)^(d-1)."""
-    profile = config.profile_for(eps)
-    mesh = build_mesh(profile, config.grading())
-    params = config.elastic()
-    ds = DirichletSolver(mesh, params, config.solver())
-    basis = rigid_basis(2)
-    (v11,), _ = ds.solve({"v1^1": {BoundaryTag.INCLUSION_TOP: basis[0],
-                                   BoundaryTag.INCLUSION_BOTTOM: 0.0,
-                                   BoundaryTag.OUTER: 0.0}})
-
+    point's first translation cell solution v1^1 minus its explicit
+    gap-linear competitor.  The patch energies scale like gap(z)^(d-1)."""
+    profile = point.profile
+    v11 = point.cells.v[(1, 1)]
     space = v11.space
     coords = space.dof_coords
     inside = np.abs(coords[:, 0]) <= profile.r_neck
@@ -531,7 +543,7 @@ def patch_energy_profile(config: ExperimentConfig, eps: float,
     x2 = np.clip(coords[:, 1], profile.bottom(x1), profile.top(x1))
     tilde_vals = np.zeros_like(coords)
     pts = np.column_stack([x1, x2])
-    tilde_vals[inside] = asy.vtilde(profile, basis[0], pts[inside])
+    tilde_vals[inside] = asy.vtilde(profile, point.cells.basis[0], pts[inside])
     w = DisplacementField(space, v11.values - tilde_vals, "w")
 
     out = []

@@ -27,7 +27,7 @@ import enum
 import io
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,17 +73,16 @@ class GradingConfig:
             raise MeshingError("n_layers must be >= 1")
         if not (0.0 < self.dx_min_frac <= 1.0):
             raise MeshingError("dx_min_frac must be in (0, 1]")
-        if self.budget_scale < 1.0:
-            raise MeshingError("budget_scale must be >= 1")
+        for name in ("dx_max_frac", "arc_frac"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise MeshingError(f"{name} must be finite and > 0, got {value!r}")
+        if not (math.isfinite(self.budget_scale) and self.budget_scale >= 1.0):
+            raise MeshingError(f"budget_scale must be finite and >= 1, got {self.budget_scale!r}")
         # below 1 the geometric ring spacings sum to less than a ray, and
         # radial_levels would never stop adding rings
         if not (math.isfinite(self.radial_ratio) and self.radial_ratio >= 1.0):
             raise MeshingError(f"radial_ratio must be finite and >= 1, got {self.radial_ratio!r}")
-
-    def refined(self, budget_factor: float) -> "GradingConfig":
-        """Config with the cell budget scaled by ``budget_factor`` (>= 1)."""
-        s = math.sqrt(budget_factor)
-        return replace(self, budget_scale=self.budget_scale * s)
 
     @property
     def layers(self) -> int:

@@ -11,7 +11,7 @@ COARSE = ns.GradingConfig(dx_min_frac=0.5, dx_max_frac=0.12, arc_frac=0.15,
 
 @pytest.fixture(scope="session")
 def params():
-    return ns.ElasticParams(1.0, 1.0, 2)
+    return ns.ElasticParams(1.0, 1.0)
 
 
 @pytest.fixture(scope="session")

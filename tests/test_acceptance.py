@@ -141,7 +141,7 @@ def test_criterion_6_rigid_motion_exactness():
     traction moments vanish, everything to 1e-8."""
     p = ns.make_profile("power", epsilon=1e-2, m=2.0)
     mesh = ns.build_mesh(p)
-    params = ns.ElasticParams(1.0, 1.0, 2)
+    params = ns.ElasticParams(1.0, 1.0)
     solver = ns.SolverConfig(tol=1e-13)
     worst_nodal = worst_c = worst_moment = 0.0
     for gamma, psi in enumerate(ns.rigid_basis(2), start=1):
@@ -198,7 +198,7 @@ def test_criterion_8_local_energy_scaling():
     """Patch energies of w = v1^1 - vtilde1^1 scale like gap(z)^(d-1):
     fitted exponent 1 +- 0.25 (point contact, d=2)."""
     cfg = replace(ns.ExperimentConfig(), kind="power", m=2.0)
-    pairs = ns.patch_energy_profile(cfg, 1e-3, np.arange(0.05, 0.41, 0.05))
+    pairs = ns.patch_energy_profile(ns.solve_point(cfg, 1e-3), np.arange(0.05, 0.41, 0.05))
     fit = ns.fit_rate(pairs)
     ok = abs(fit.slope - 1.0) <= 0.25
     _report(8, ok, f"patch-energy exponent={fit.slope:.4f} (target 1+-0.25, "

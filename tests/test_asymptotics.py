@@ -279,26 +279,6 @@ def test_predicted_rate_continuity_within_cases():
                     assert abs(e_side - e_log) < 1e-6, (d, m_side)
 
 
-def test_pointwise_bound_flat_interior_stays_bounded():
-    vals = [ns.pointwise_bound(2, ("flat", 0.6), eps, 0.1)
-            for eps in (1e-2, 1e-4, 1e-6, 1e-8)]
-    assert max(vals) < 10.0
-
-
-def test_pointwise_bound_power_center_rate():
-    v1 = ns.pointwise_bound(2, ("power", 2.0), 1e-4, 0.0)
-    v2 = ns.pointwise_bound(2, ("power", 2.0), 1e-6, 0.0)
-    assert v2 / v1 == pytest.approx(10.0, rel=0.05)   # eps^{-1/2} growth
-
-
-def test_pointwise_bound_argmax_moves_out_for_large_m():
-    eps = 1e-5
-    xs = np.linspace(0.0, 0.9, 2001)
-    vals = ns.pointwise_bound(2, ("power", 6.0), eps, xs)
-    argmax = xs[np.argmax(vals)]
-    assert argmax > 0.5 * eps ** (1.0 / 6.0)
-
-
 def test_gram_integral_cases_cover_both_families():
     cases = ns.gram_integral_cases(3)
     assert (1, 1.0, 1, 2) in cases

@@ -51,6 +51,22 @@ def test_make_profile_rejects_bad_flat_params():
         ns.make_profile("banana", epsilon=1e-2)
 
 
+@pytest.mark.parametrize("kind, field, value", [
+    ("power", "m", math.nan),
+    ("power", "m", math.inf),
+    ("power", "kappa0", math.inf),
+    ("flat", "r0", math.nan),
+    ("power", "r_neck", math.inf),
+    ("power", "outer_radius", math.nan),
+    ("power", "epsilon", math.inf),
+])
+def test_make_profile_rejects_non_finite_fields(kind, field, value):
+    # each of these used to hang the mesher, fail in it with an untyped
+    # error, or mesh silently
+    with pytest.raises(GeometryError, match=rf"^{field} must be finite"):
+        ns.make_profile(kind, **{field: value})
+
+
 def test_dist_to_flat_examples():
     p = ns.make_profile("flat", epsilon=0.01, r0=0.3)
     assert ns.dist_to_flat(p, 0.2) == 0.0

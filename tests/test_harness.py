@@ -327,6 +327,41 @@ def test_point_frees_its_mesh_without_the_cycle_collector(monkeypatch):
             gc.enable()
 
 
+def test_point_with_a_bad_tol_fails_before_meshing(monkeypatch):
+    """A point whose solver tolerance cannot be met is an error row, typed
+    and named, and no mesh is built for it."""
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("meshed a point whose tolerance is invalid")
+
+    monkeypatch.setattr(ns.harness, "build_mesh", no_mesh)
+    row = ns.run_point(replace(FAST, solver_tol=0.0), FAST.eps_list[0])
+    assert row["status"] == "error"
+    assert row["message"].startswith("FemError: tol must be finite and > 0")
+
+
+def test_patch_energies_reuse_the_solved_point(monkeypatch):
+    """solve_point and then patch_energy_profile build one P2 space and make
+    one incomplete-LU factorization between them: the patch energies read
+    the point's own v1^1 instead of solving again."""
+    inits, factors = [], []
+    init, spilu = ns.P2Space.__init__, ns.fem.spla.spilu
+
+    def counting_init(self, mesh):
+        inits.append(mesh.n_cells)
+        init(self, mesh)
+
+    def counting_spilu(*args, **kwargs):
+        factors.append(1)
+        return spilu(*args, **kwargs)
+
+    monkeypatch.setattr(ns.P2Space, "__init__", counting_init)
+    monkeypatch.setattr(ns.fem.spla, "spilu", counting_spilu)
+    point = ns.solve_point(FAST, FAST.eps_list[0])
+    pairs = ns.patch_energy_profile(point, (0.1, 0.2))
+    assert len(inits) == 1 and len(factors) == 1
+    assert len(pairs) == 2 and all(e > 0.0 for _, e in pairs)
+
+
 def _reachable_ids(root) -> set:
     """Ids of every object reachable from ``root`` by references, not
     entering classes or modules."""

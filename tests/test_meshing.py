@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,18 @@ def test_radial_ratio_below_one_or_non_finite_is_rejected(ratio):
         ns.build_mesh(p, GradingConfig(radial_ratio=ratio))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("dx_max_frac", 0.0), ("dx_max_frac", float("nan")), ("dx_max_frac", -0.1),
+    ("arc_frac", 0.0), ("arc_frac", float("nan")), ("arc_frac", float("inf")),
+    ("budget_scale", float("nan")), ("budget_scale", float("inf")),
+])
+def test_grading_rejects_zero_or_non_finite_caps(field, value):
+    # a zero width cap never ends the column loop; a NaN cap or budget used
+    # to mesh silently or fail with an untyped error
+    with pytest.raises(MeshingError, match=rf"^{field} must be finite"):
+        GradingConfig(**{field: value})
+
+
 def test_dim3_rejected():
     p = ns.make_profile("power", dim=3, epsilon=1e-2, m=2.0)
     with pytest.raises(MeshingError):
@@ -112,7 +126,7 @@ def test_budget_refinement_regression(power_profile):
     # budget x4: dof count grows, min quality does not degrade (the worst
     # cell is the gap-minimum anchor cell, whose aspect is scale-invariant)
     base = ns.build_mesh(power_profile, COARSE)
-    fine = ns.build_mesh(power_profile, COARSE.refined(4.0))
+    fine = ns.build_mesh(power_profile, replace(COARSE, budget_scale=2.0))
     assert fine.n_nodes > base.n_nodes
     assert fine.grading_report.min_quality >= base.grading_report.min_quality - 1e-9
 
@@ -123,7 +137,7 @@ def test_budget_refinement_regression_flat(flat_profile):
     nominal capped-rectangle quality) at every budget, plus DOF growth."""
     p = flat_profile
     base = ns.build_mesh(p, COARSE)
-    fine = ns.build_mesh(p, COARSE.refined(4.0))
+    fine = ns.build_mesh(p, replace(COARSE, budget_scale=2.0))
     assert fine.n_nodes > base.n_nodes
     for mesh in (base, fine):
         h = p.epsilon / mesh.meta["n_layers"]
