@@ -84,8 +84,11 @@ class P2Space:
         pairs = np.sort(np.concatenate([
             cells[:, [0, 1]], cells[:, [1, 2]], cells[:, [2, 0]]
         ]), axis=1)
-        uniq, inv = np.unique(pairs, axis=0, return_inverse=True)
-        inv = np.asarray(inv).reshape(-1)
+        n_nodes = mesh.n_nodes
+        # one int64 key per edge sorts like the (n0, n1) rows
+        key, inv = np.unique(pairs[:, 0].astype(np.int64) * n_nodes + pairs[:, 1],
+                             return_inverse=True)
+        uniq = np.stack([key // n_nodes, key % n_nodes], axis=1)
         m = cells.shape[0]
         self.edge_nodes = uniq                       # (ne, 2)
         self.cell_edges = np.stack(
@@ -126,8 +129,6 @@ class P2Space:
         )
 
         # boundary scalar dofs per tag (vertices plus midside dofs)
-        key = uniq[:, 0] * mesh.n_nodes + uniq[:, 1]
-        order = np.argsort(key)
         self._tag_dofs: dict[int, np.ndarray] = {}
         for tag in (BoundaryTag.INCLUSION_TOP, BoundaryTag.INCLUSION_BOTTOM,
                     BoundaryTag.OUTER):
@@ -136,8 +137,8 @@ class P2Space:
                 self._tag_dofs[int(tag)] = np.array([], dtype=np.int64)
                 continue
             be = np.sort(sel, axis=1)
-            bkey = be[:, 0] * mesh.n_nodes + be[:, 1]
-            pos = order[np.searchsorted(key[order], bkey)]
+            bkey = be[:, 0].astype(np.int64) * n_nodes + be[:, 1]
+            pos = np.minimum(np.searchsorted(key, bkey), key.size - 1)
             if np.any(key[pos] != bkey):
                 raise FemError("boundary edge missing from mesh edge set")
             dofs = np.concatenate([sel.ravel(), self.n_vertex + pos])

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -110,7 +111,7 @@ def test_config_file_takes_the_flag_name(tmp_path, monkeypatch, line, field, val
     """A config-file key spelled like its flag sets the same field as the
     flag does."""
     seen = []
-    monkeypatch.setattr(neckstress.cli, "run_sweep", lambda config: seen.append(config) or [])
+    monkeypatch.setattr(neckstress.harness, "run_sweep", lambda config: seen.append(config) or [])
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(line + "\n")
     assert main(["sweep", "--config", str(cfg)]) == 0
@@ -121,7 +122,7 @@ def test_config_file_takes_the_flag_name(tmp_path, monkeypatch, line, field, val
 
 def test_flag_overrides_a_config_key_of_either_name(tmp_path, monkeypatch):
     seen = []
-    monkeypatch.setattr(neckstress.cli, "run_sweep", lambda config: seen.append(config) or [])
+    monkeypatch.setattr(neckstress.harness, "run_sweep", lambda config: seen.append(config) or [])
     cfg = tmp_path / "exp.cfg"
     for text in ("layers = 6\n", "n_layers = 6\n", "layers = 5\nn_layers = 6\n"):
         cfg.write_text(text)
@@ -157,3 +158,15 @@ def test_oracle_table_structure():
     assert rep["n_cases"] == 5
     assert all(set(c) >= {"d", "k", "p", "m", "fitted", "law", "pass"}
                for c in rep["cases"])
+
+
+@pytest.mark.parametrize("line, key, raw", [
+    ("m = abc", "m", "abc"),
+    ("layers = 4.5", "layers", "4.5"),
+    ("eps_list = 1e-2, x", "eps_list", "1e-2, x"),
+], ids=["m", "layers", "eps_list"])
+def test_config_value_that_does_not_parse_names_its_key(tmp_path, line, key, raw):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(HarnessError, match=re.escape(f"{key!r}: cannot parse {raw!r}")):
+        main(["mesh", "--config", str(cfg)])
