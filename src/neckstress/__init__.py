@@ -1,47 +1,83 @@
 """neckstress: a numerical laboratory for gradient concentration between two
-rigid inclusions separated by a thin neck.
+rigid inclusions separated by a thin neck."""
 
-Names are looked up in their defining module on access, so importing the
-package loads nothing beyond it: ``geometry``, ``meshing``, ``elasticity``
-and ``asymptotics`` need numpy only, and scipy's sparse stack loads with
-``fem`` (through ``decomposition`` or ``harness``) the first time a solver
-name is used."""
+from .asymptotics import (
+    RatePrediction,
+    ScalingLaw,
+    flat_entry_oracle,
+    integral_law,
+    gram_integral_cases,
+    predicted_rate,
+    rho,
+    rho_law,
+    singular_integral_oracle,
+    vbar,
+    vtilde,
+)
+from .decomposition import (
+    CellSolutions,
+    CoefficientSystem,
+    assemble_system,
+    reconstruct,
+    solve_cell_problems,
+    solve_coefficients,
+    sum_field_check,
+)
+from .elasticity import (
+    ElasticParams,
+    RigidMotion,
+    n_rigid,
+    rigid_basis,
+)
+from .fem import (
+    DirichletSolver,
+    DisplacementField,
+    P2Space,
+    Region,
+    SolveReport,
+    SolverConfig,
+    boundary_traction_moment,
+    energy_integral,
+    export_field,
+    gradient_at,
+    gradient_sq_integral,
+    interpolate,
+    max_gradient,
+)
+from .geometry import (
+    ChartError,
+    GeometryError,
+    NeckProfile,
+    ProfileKind,
+    dist_to_flat,
+    gap,
+    make_profile,
+)
+from .harness import (
+    ExperimentConfig,
+    RateFit,
+    compare_oracles,
+    default_eps_list,
+    fit_rate,
+    patch_energy_profile,
+    read_csv,
+    resolve_phi,
+    run_point,
+    run_sweep,
+    solve_point,
+    sweep_summary,
+    write_csv,
+)
+from .meshing import (
+    BoundaryTag,
+    GradingConfig,
+    GradingReport,
+    Mesh,
+    MeshingError,
+    build_mesh,
+    load_mesh,
+    refine_uniform,
+    save_mesh,
+)
 
-import importlib
-
-_EXPORTS = {
-    "asymptotics": ("RatePrediction", "ScalingLaw", "flat_entry_oracle", "integral_law",
-                    "gram_integral_cases", "predicted_rate", "rho", "rho_law",
-                    "singular_integral_oracle", "vbar", "vtilde"),
-    "decomposition": ("CellSolutions", "CoefficientSystem", "assemble_system", "reconstruct",
-                      "solve_cell_problems", "solve_coefficients", "sum_field_check"),
-    "elasticity": ("ElasticParams", "RigidMotion", "n_rigid", "rigid_basis"),
-    "fem": ("DirichletSolver", "DisplacementField", "P2Space", "Region", "SolveReport",
-            "SolverConfig", "boundary_traction_moment", "energy_integral", "export_field",
-            "gradient_at", "gradient_sq_integral", "interpolate", "max_gradient"),
-    "geometry": ("ChartError", "GeometryError", "NeckProfile", "ProfileKind", "dist_to_flat",
-                 "gap", "make_profile"),
-    "harness": ("ExperimentConfig", "RateFit", "compare_oracles", "default_eps_list",
-                "fit_rate", "patch_energy_profile", "read_csv", "resolve_phi", "run_point",
-                "run_sweep", "solve_point", "sweep_summary", "write_csv"),
-    "meshing": ("BoundaryTag", "GradingConfig", "GradingReport", "Mesh", "MeshingError",
-                "build_mesh", "load_mesh", "refine_uniform", "save_mesh"),
-}
-_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"cli"}
-
-__all__ = [name for names in _EXPORTS.values() for name in names]
 __version__ = "0.1.0"
-
-
-def __getattr__(name):
-    # not cached: a name rebound in its module stays visible here
-    if name in _ORIGIN:
-        return getattr(importlib.import_module(f"{__name__}.{_ORIGIN[name]}"), name)
-    if name in _SUBMODULES:
-        return importlib.import_module(f"{__name__}.{name}")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

@@ -17,6 +17,18 @@ from dataclasses import replace
 import numpy as np
 
 from . import asymptotics as asy
+from .harness import (
+    ExperimentConfig,
+    compare_oracles,
+    config_from_mapping,
+    fit_rate,
+    load_config_file,
+    read_csv,
+    run_point,
+    run_sweep,
+    sweep_summary,
+    write_csv,
+)
 from .meshing import build_mesh, save_mesh
 
 
@@ -35,14 +47,12 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", dest="out", help="output path")
 
 
-def _config_from_args(args):
-    from . import harness
-    config = harness.config_from_mapping(
-        harness.load_config_file(args.config) if args.config else {})
+def _config_from_args(args) -> ExperimentConfig:
+    config = config_from_mapping(load_config_file(args.config) if args.config else {})
     flags = {key: getattr(args, key) for key in (
         "profile", "m", "r0", "kappa0", "eps_list", "phi",
         "mesh_budget", "layers", "budget_scale", "tol")}
-    return harness.config_from_mapping(flags, config)
+    return config_from_mapping(flags, config)
 
 
 def main(argv=None) -> int:
@@ -77,8 +87,10 @@ def main(argv=None) -> int:
     p_or.add_argument("--out", help="JSON report path")
 
     args = parser.parse_args(argv)
-    # the solver stack (scipy) loads only once a command is known
-    from . import harness
+    if args.command in ("solve", "sweep"):
+        # the sparse solver stack loads once a command is known to solve, so
+        # timing the points one by one does not charge the import to the first
+        import scipy.sparse.linalg  # noqa: F401
 
     if args.command == "mesh":
         config = _config_from_args(args)
@@ -93,13 +105,13 @@ def main(argv=None) -> int:
 
     if args.command == "solve":
         config = replace(_config_from_args(args), out_field=args.export_field)
-        row = harness.run_point(config, args.eps)
+        row = run_point(config, args.eps)
         for key in ("status", "n_dofs", "max_grad_u", "argmax_x1", "a11_11",
                     "a11_33", "cdiff_1", "cdiff_3", "sys_residual",
                     "b_agree_rel", "message"):
             print(f"{key} = {row[key]}")
         if args.out:
-            harness.write_csv([row], args.out)
+            write_csv([row], args.out)
             print(f"wrote {args.out}")
         if args.export_field and row["status"] == "ok":
             print(f"wrote {args.export_field}")
@@ -108,17 +120,17 @@ def main(argv=None) -> int:
     if args.command == "sweep":
         config = _config_from_args(args)
         if args.out:
-            config = harness.config_from_mapping({"out_csv": args.out}, config)
+            config = config_from_mapping({"out_csv": args.out}, config)
         if args.out_json:
-            config = harness.config_from_mapping({"out_json": args.out_json}, config)
-        rows = harness.run_sweep(config)
-        summary = harness.sweep_summary(config, rows)
+            config = config_from_mapping({"out_json": args.out_json}, config)
+        rows = run_sweep(config)
+        summary = sweep_summary(config, rows)
         fit = summary.get("fits", {}).get("max_grad_u")
         if fit:
             print(f"max|grad u| slope = {fit['slope']:.4f} (R2 = {fit['r2']:.4f}), "
                   f"predicted {fit['predicted_exponent']}")
         try:
-            cmp_report = harness.compare_oracles(config, rows)
+            cmp_report = compare_oracles(config, rows)
             print("gram-entry comparison: "
                   + ("PASS" if cmp_report["pass"] else "FAIL"))
         except Exception as exc:
@@ -129,11 +141,11 @@ def main(argv=None) -> int:
         return 0 if not failed else 1
 
     if args.command == "fit":
-        rows = harness.read_csv(args.csv)
+        rows = read_csv(args.csv)
         samples = [(r["eps"], r[args.column]) for r in rows
                    if r["status"] == "ok" and np.isfinite(r[args.column])
                    and r[args.column] > 0]
-        fit = harness.fit_rate(samples, args.exponent)
+        fit = fit_rate(samples, args.exponent)
         print(json.dumps(fit.as_dict(), indent=2))
         return 0
 
@@ -156,7 +168,6 @@ def oracle_table(dims, orders, eps_lo: float = 1e-6, eps_hi: float = 1e-2,
                  n_eps: int = 9, tol: float = 0.05) -> dict:
     """Fitted oracle exponents against the rho laws for every integrand pair
     behind the Gram-entry scaling laws; log branches use the corrected fit."""
-    from . import harness
     eps_grid = np.logspace(np.log10(eps_hi), np.log10(eps_lo), n_eps)
     lines = []
     n_pass = 0
@@ -167,7 +178,7 @@ def oracle_table(dims, orders, eps_lo: float = 1e-6, eps_hi: float = 1e-2,
             for m in orders:
                 law = asy.rho_law(rho_kind, rho_k, m)
                 vals = [(e, asy.singular_integral_oracle(k, m, p, e)) for e in eps_grid]
-                fit = harness.fit_rate(vals, law)
+                fit = fit_rate(vals, law)
                 slope = fit.corrected_slope if law.has_log else fit.slope
                 dev = abs(slope - law.exponent)
                 ok = dev <= tol

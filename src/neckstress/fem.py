@@ -16,6 +16,10 @@ mesh and space are freed by reference counting as soon as the point is done.
 
 The weak form is int_Omega lam*div(u)*div(v) + 2*mu*e(u):e(v); with the
 degree-2 quadrature rule below it is integrated exactly on affine cells.
+
+scipy's sparse stack (``sp``, ``spla``) is imported at the first assembly,
+or the first time ``sp`` or ``spla`` is read off this module, so importing
+the package, meshing and mesh I/O need numpy only.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .elasticity import ElasticParams, RigidMotion
 from .geometry import NeckProfile
@@ -47,6 +49,23 @@ _SAMPLE_BARY = np.array([
     [0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
     [0.5, 0.0], [0.5, 0.5], [0.0, 0.5],
 ])
+
+
+def _load_sparse():
+    """Bind scipy's sparse stack as ``sp`` and ``spla``; a binding already
+    made, or replaced from outside, is kept."""
+    import scipy.sparse
+    import scipy.sparse.linalg
+    g = globals()
+    g.setdefault("sp", scipy.sparse)
+    g.setdefault("spla", scipy.sparse.linalg)
+
+
+def __getattr__(name):
+    if name in ("sp", "spla"):
+        _load_sparse()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class FemError(RuntimeError):
@@ -84,11 +103,8 @@ class P2Space:
         pairs = np.sort(np.concatenate([
             cells[:, [0, 1]], cells[:, [1, 2]], cells[:, [2, 0]]
         ]), axis=1)
-        n_nodes = mesh.n_nodes
-        # one int64 key per edge sorts like the (n0, n1) rows
-        key, inv = np.unique(pairs[:, 0].astype(np.int64) * n_nodes + pairs[:, 1],
-                             return_inverse=True)
-        uniq = np.stack([key // n_nodes, key % n_nodes], axis=1)
+        uniq, inv = np.unique(pairs, axis=0, return_inverse=True)
+        inv = np.asarray(inv).reshape(-1)
         m = cells.shape[0]
         self.edge_nodes = uniq                       # (ne, 2)
         self.cell_edges = np.stack(
@@ -129,6 +145,8 @@ class P2Space:
         )
 
         # boundary scalar dofs per tag (vertices plus midside dofs)
+        key = uniq[:, 0] * mesh.n_nodes + uniq[:, 1]
+        order = np.argsort(key)
         self._tag_dofs: dict[int, np.ndarray] = {}
         for tag in (BoundaryTag.INCLUSION_TOP, BoundaryTag.INCLUSION_BOTTOM,
                     BoundaryTag.OUTER):
@@ -137,8 +155,8 @@ class P2Space:
                 self._tag_dofs[int(tag)] = np.array([], dtype=np.int64)
                 continue
             be = np.sort(sel, axis=1)
-            bkey = be[:, 0].astype(np.int64) * n_nodes + be[:, 1]
-            pos = np.minimum(np.searchsorted(key, bkey), key.size - 1)
+            bkey = be[:, 0] * mesh.n_nodes + be[:, 1]
+            pos = order[np.searchsorted(key[order], bkey)]
             if np.any(key[pos] != bkey):
                 raise FemError("boundary edge missing from mesh edge set")
             dofs = np.concatenate([sel.ravel(), self.n_vertex + pos])
@@ -155,6 +173,7 @@ class P2Space:
     def stiffness(self, params: ElasticParams) -> sp.csr_matrix:
         """Assemble the vector stiffness K (CSR, interleaved dofs), afresh on
         every call."""
+        _load_sparse()
         g = self.grad_q                        # (m, q, 6, 2)
         w = self.wdet                          # (m, q)
         lam, mu = params.lam, params.mu

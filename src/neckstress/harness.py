@@ -9,7 +9,6 @@ Wall-clock times are reported only in the JSON summary for that reason.
 from __future__ import annotations
 
 import io
-import itertools
 import json
 import logging
 import time
@@ -444,28 +443,11 @@ def _diag_envelope_terms(config: ExperimentConfig, al: int):
     return [lambda e: asy.rho(kind, k, m, e), lambda e: 1.0]
 
 
-def _nnls(a, b):
-    """argmin |a x - b| over x >= 0, exact for the few columns of an
-    envelope: the optimum is the unconstrained least-squares fit on its
-    support, so the best feasible fit over all column subsets is it."""
-    n = a.shape[1]
-    best, best_res = np.zeros(n), float(np.linalg.norm(b))
-    for k in range(1, n + 1):
-        for cols in itertools.combinations(range(n), k):
-            sub = np.linalg.lstsq(a[:, cols], b, rcond=None)[0]
-            if np.all(sub >= 0.0):
-                x = np.zeros(n)
-                x[list(cols)] = sub
-                res = float(np.linalg.norm(a @ x - b))
-                if res < best_res:
-                    best, best_res = x, res
-    return best
-
-
 def _calibrated_envelope(terms, eps, values):
     """Least-squares nonnegative term weights, relative residual weighting."""
+    from scipy.optimize import nnls
     a = np.array([[t(e) / v for t in terms] for e, v in zip(eps, values)])
-    coeffs = _nnls(a, np.ones(len(eps)))
+    coeffs, _ = nnls(a, np.ones(len(eps)))
     fitted = np.array([sum(c * t(e) for c, t in zip(coeffs, terms)) for e in eps])
     rel_misfit = float(np.abs(fitted / np.array(values) - 1.0).max())
     return coeffs, fitted, rel_misfit

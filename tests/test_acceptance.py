@@ -252,20 +252,3 @@ def test_criterion_10_determinism(tmp_path):
     ok = a == b and len(a) > 0
     _report(10, ok, f"two runs, {len(a)} bytes each, identical={a == b}")
     assert a == b
-
-
-@pytest.mark.parametrize("sweep", ["point_shear", "flat_shear", "point_xy", "flat_xy"])
-def test_oracle_verdicts_match_scipy_nnls(sweep, request, monkeypatch):
-    """The envelope calibration's own NNLS gives the verdicts and the
-    calibration constants that scipy's does on the acceptance sweeps."""
-    from scipy.optimize import nnls
-
-    cfg, rows, _ = request.getfixturevalue(sweep)
-    mine = ns.compare_oracles(cfg, rows)
-    monkeypatch.setattr(ns.harness, "_nnls", lambda a, b: nnls(a, b)[0])
-    ref = ns.compare_oracles(cfg, rows)
-    assert mine["pass"] == ref["pass"]
-    for lab, entry in ref["entries"].items():
-        assert mine["entries"][lab]["pass"] == entry["pass"]
-        np.testing.assert_allclose(mine["entries"][lab]["calibration"],
-                                   entry["calibration"], rtol=1e-9, atol=1e-12)

@@ -111,7 +111,7 @@ def test_config_file_takes_the_flag_name(tmp_path, monkeypatch, line, field, val
     """A config-file key spelled like its flag sets the same field as the
     flag does."""
     seen = []
-    monkeypatch.setattr(neckstress.harness, "run_sweep", lambda config: seen.append(config) or [])
+    monkeypatch.setattr(neckstress.cli, "run_sweep", lambda config: seen.append(config) or [])
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(line + "\n")
     assert main(["sweep", "--config", str(cfg)]) == 0
@@ -122,7 +122,7 @@ def test_config_file_takes_the_flag_name(tmp_path, monkeypatch, line, field, val
 
 def test_flag_overrides_a_config_key_of_either_name(tmp_path, monkeypatch):
     seen = []
-    monkeypatch.setattr(neckstress.harness, "run_sweep", lambda config: seen.append(config) or [])
+    monkeypatch.setattr(neckstress.cli, "run_sweep", lambda config: seen.append(config) or [])
     cfg = tmp_path / "exp.cfg"
     for text in ("layers = 6\n", "n_layers = 6\n", "layers = 5\nn_layers = 6\n"):
         cfg.write_text(text)

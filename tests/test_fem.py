@@ -491,18 +491,3 @@ def test_stiffness_equals_three_einsum_formula(power_mesh, lam, mu):
     assert np.array_equal(got.indptr, oracle.indptr)
     assert np.array_equal(got.indices, oracle.indices)
     assert np.array_equal(got.data, oracle.data)
-
-
-@pytest.mark.parametrize("kind, shape", [("power", {"m": 2.0}), ("power", {"m": 6.0}),
-                                         ("flat", {"r0": 0.3})])
-def test_edge_numbering_matches_row_unique(kind, shape):
-    """Edges numbered by one integer key come out in the order, and with the
-    cell map, of a row-wise unique over the sorted node pairs."""
-    mesh = ns.build_mesh(ns.make_profile(kind, epsilon=1e-3, **shape), COARSE)
-    cells = mesh.cells
-    pairs = np.sort(np.concatenate([cells[:, [0, 1]], cells[:, [1, 2]], cells[:, [2, 0]]]),
-                    axis=1)
-    edges, inv = np.unique(pairs, axis=0, return_inverse=True)
-    space = ns.P2Space(mesh)
-    assert np.array_equal(space.edge_nodes, edges)
-    assert np.array_equal(space.cell_edges, inv.reshape(3, -1).T)

@@ -406,21 +406,3 @@ def test_point_holds_its_stiffness_once(monkeypatch):
     assert alive_at_factor == [[False]]
     assert len(solved) == 1 and len(factors) == 1
     assert id(factors[0]) not in _reachable_ids(solved[0])
-
-
-@pytest.mark.parametrize("n_cols", [2, 3])
-def test_nnls_matches_scipy(n_cols):
-    from scipy.optimize import nnls
-
-    rng = np.random.default_rng(n_cols)
-    clamped = 0
-    for _ in range(50):
-        a = rng.normal(size=(8, n_cols))
-        # some true weights negative, so their optimal weight clamps to 0
-        b = a @ rng.normal(size=n_cols) + 0.1 * rng.normal(size=8)
-        want = nnls(a, b)[0]
-        got = ns.harness._nnls(a, b)
-        assert np.all(got >= 0.0)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        clamped += bool(np.any(want == 0.0))
-    assert clamped > 0
