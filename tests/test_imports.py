@@ -41,16 +41,3 @@ def test_importing_and_meshing_load_no_scipy(tmp_path):
     """, tmp_path)
     assert out.strip() == "[]"
 
-
-def test_the_first_assembly_loads_the_sparse_stack(tmp_path):
-    out = run_fresh("""
-        import sys
-        import neckstress as ns
-        grading = ns.GradingConfig(n_layers=2, dx_min_frac=0.4, dx_max_frac=0.1,
-                                   arc_frac=0.12, n_radial=6)
-        mesh = ns.build_mesh(ns.make_profile("power", epsilon=1e-1, m=2.0), grading)
-        ns.P2Space(mesh).stiffness(ns.ElasticParams(1.0, 1.0))
-        import scipy.sparse, scipy.sparse.linalg
-        print(ns.fem.sp is scipy.sparse, ns.fem.spla is scipy.sparse.linalg)
-    """, tmp_path)
-    assert out.split() == ["True", "True"]
