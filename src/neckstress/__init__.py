@@ -49,7 +49,6 @@ from .geometry import (
     GeometryError,
     NeckProfile,
     ProfileKind,
-    dist_to_flat,
     gap,
     make_profile,
 )
@@ -76,7 +75,6 @@ from .meshing import (
     MeshingError,
     build_mesh,
     load_mesh,
-    refine_uniform,
     save_mesh,
 )
 

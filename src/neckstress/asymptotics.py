@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .elasticity import RigidMotion, n_rigid
+from .elasticity import n_rigid
 from .geometry import ChartError, NeckProfile, ProfileKind
 
 
@@ -61,18 +61,14 @@ def vbar(profile: NeckProfile, x) -> float | np.ndarray:
 def vtilde(profile: NeckProfile, psi, x) -> np.ndarray:
     """Explicit competitor field psi(x1, top(x1)) * vbar(x) on the chart.
 
-    ``psi`` may be a :class:`RigidMotion` or any callable of points; it is
+    ``psi`` is a :class:`RigidMotion` or any other callable of points; it is
     evaluated on the top boundary trace, so vtilde equals psi on the top
     inclusion boundary and vanishes on the bottom one.
     """
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     vb = np.atleast_1d(vbar(profile, pts))
     trace_pts = np.column_stack([pts[:, 0], profile.top(pts[:, 0])])
-    if isinstance(psi, RigidMotion) or callable(psi):
-        tv = psi(trace_pts)
-    else:
-        tv = np.broadcast_to(np.asarray(psi, dtype=float), pts.shape)
-    out = tv * vb[:, None]
+    out = psi(trace_pts) * vb[:, None]
     if np.ndim(x) == 1:
         return out[0]
     return out
@@ -107,12 +103,6 @@ class ScalingLaw:
 
     exponent: float      # 0 for const and log cases
     has_log: bool
-
-    def value(self, epsilon: float) -> float:
-        v = epsilon ** self.exponent
-        if self.has_log:
-            v *= abs(math.log(epsilon))
-        return v
 
 
 def rho_law(kind: int, k: float, m: float) -> ScalingLaw:
@@ -274,9 +264,6 @@ class RatePrediction:
     exponent: float
     log_factor: int = 0
     geometry: tuple = ()
-
-    def value(self, epsilon: float) -> float:
-        return epsilon ** self.exponent * abs(math.log(epsilon)) ** self.log_factor
 
 
 def predicted_rate(d: int, geometry) -> RatePrediction:

@@ -19,6 +19,7 @@ import numpy as np
 from . import asymptotics as asy
 from .harness import (
     ExperimentConfig,
+    HarnessError,
     compare_oracles,
     config_from_mapping,
     fit_rate,
@@ -142,6 +143,8 @@ def main(argv=None) -> int:
 
     if args.command == "fit":
         rows = read_csv(args.csv)
+        if rows and args.column not in rows[0]:
+            raise HarnessError(f"{args.csv}: no column {args.column!r}")
         samples = [(r["eps"], r[args.column]) for r in rows
                    if r["status"] == "ok" and np.isfinite(r[args.column])
                    and r[args.column] > 0]

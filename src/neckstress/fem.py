@@ -25,13 +25,12 @@ the package, meshing and mesh I/O need numpy only.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .elasticity import ElasticParams, RigidMotion
+from .elasticity import ElasticParams
 from .geometry import NeckProfile
 from .meshing import FLOAT_FMT, BoundaryTag, Mesh, format_rows
 
@@ -106,7 +105,6 @@ class P2Space:
         uniq, inv = np.unique(pairs, axis=0, return_inverse=True)
         inv = np.asarray(inv).reshape(-1)
         m = cells.shape[0]
-        self.edge_nodes = uniq                       # (ne, 2)
         self.cell_edges = np.stack(
             [inv[:m], inv[m:2 * m], inv[2 * m:]], axis=1)
         self.n_vertex = mesh.n_nodes
@@ -132,7 +130,7 @@ class P2Space:
         self.inv_jt[:, 1, 0] = -j12 / det
         self.inv_jt[:, 1, 1] = j11 / det
         self.p0 = p[:, 0, :]
-        self.jac = np.stack(
+        jac = np.stack(
             [np.stack([j11, j12], axis=1), np.stack([j21, j22], axis=1)], axis=1)
 
         ghat = _ref_grads(_QP)                       # (q, 6, 2)
@@ -141,7 +139,7 @@ class P2Space:
         self.wdet = _QW[None, :] * det[:, None]      # (m, q)
         self.quad_xy = (
             self.p0[:, None, :]
-            + np.einsum("mij,qj->mqi", self.jac, _QP)
+            + np.einsum("mij,qj->mqi", jac, _QP)
         )
 
         # boundary scalar dofs per tag (vertices plus midside dofs)
@@ -206,11 +204,9 @@ class P2Space:
 
 @dataclass
 class SolveReport:
-    n_dof: int
     iterations: int
     rel_residual: float
     method: str
-    wall_time: float
 
 
 @dataclass(frozen=True)
@@ -259,21 +255,14 @@ class DisplacementField:
     def vec(self) -> np.ndarray:
         return self.values.reshape(-1)
 
-    def _binop(self, other, op, name):
+    def __add__(self, other):
         if other.space is not self.space:
             raise FemError("fields live on different meshes")
-        return DisplacementField(self.space, op(self.values, other.values), name)
-
-    def __add__(self, other):
-        return self._binop(other, np.add, f"{self.name}+{other.name}")
-
-    def __sub__(self, other):
-        return self._binop(other, np.subtract, f"{self.name}-{other.name}")
+        return DisplacementField(self.space, self.values + other.values,
+                                 f"{self.name}+{other.name}")
 
 
 def _evaluate_bc(bc_spec, points: np.ndarray) -> np.ndarray:
-    if isinstance(bc_spec, RigidMotion):
-        return bc_spec(points)
     if callable(bc_spec):
         out = np.asarray(bc_spec(points), dtype=float)
         if out.shape != points.shape:
@@ -400,7 +389,6 @@ class DirichletSolver:
         sparse LU factorization) or ``"trivial"`` (every load is zero).  A
         column with zero load never enters the iteration; its free dofs are
         zero.  A residual above ``max(10 tol, 1e-8)`` raises ``FemError``."""
-        t0 = time.perf_counter()
         space = self.space
         gbs = [self._boundary_values(bc) for bc in bcs.values()]
         rhs = np.stack([self.neg_a_fb @ gb for gb in gbs])
@@ -429,14 +417,7 @@ class DirichletSolver:
             full[self.bdofs] = gb
             full[self.fdofs] = x[j]
             fields.append(DisplacementField(space, full.reshape(-1, 2), name))
-        report = SolveReport(
-            n_dof=self.fdofs.size,
-            iterations=iterations,
-            rel_residual=worst,
-            method=used,
-            wall_time=time.perf_counter() - t0,
-        )
-        return fields, report
+        return fields, SolveReport(iterations, worst, used)
 
 
 def interpolate(space: P2Space, fn, name: str = "interp") -> DisplacementField:
@@ -528,15 +509,6 @@ def max_gradient(field: DisplacementField, region: Region) -> tuple[float, np.nd
     return value, where
 
 
-def _region_weights(space: P2Space, region) -> np.ndarray:
-    """Quadrature weights times det J, zeroed outside the region, if any."""
-    if region is None:
-        return space.wdet
-    pts = space.quad_xy.reshape(-1, 2)
-    mask = region.point_mask(pts) if isinstance(region, Region) else region(pts)
-    return space.wdet * mask.reshape(space.wdet.shape)
-
-
 def energy_integral(params: ElasticParams, fa: DisplacementField,
                     fb: DisplacementField) -> float:
     """int (C e(fa), e(fb)) over the whole shell."""
@@ -549,12 +521,14 @@ def energy_integral(params: ElasticParams, fa: DisplacementField,
     return float(np.sum(space.wdet * dens))
 
 
-def gradient_sq_integral(field: DisplacementField, region=None) -> float:
-    """int |grad u|^2 (Frobenius) over the region; used for patch energies."""
+def gradient_sq_integral(field: DisplacementField, region) -> float:
+    """int |grad u|^2 (Frobenius) over the quadrature points where
+    ``region(points)`` is true; used for patch energies."""
     space = field.space
     g = np.einsum("mai,mqaj->mqij", field.values[space.cell_dofs], space.grad_q)
     dens = np.sum(g * g, axis=(2, 3))
-    return float(np.sum(_region_weights(space, region) * dens))
+    mask = region(space.quad_xy.reshape(-1, 2)).reshape(space.wdet.shape)
+    return float(np.sum(space.wdet * mask * dens))
 
 
 def boundary_traction_moment(solver: DirichletSolver, field: DisplacementField,

@@ -40,7 +40,6 @@ class NeckProfile:
     """Validated neck geometry. Immutable; safe to share across threads."""
 
     kind: ProfileKind
-    dim: int
     epsilon: float
     kappa0: float
     m: float | None
@@ -49,8 +48,6 @@ class NeckProfile:
     outer_radius: float
 
     def __post_init__(self):
-        if self.dim < 2 or int(self.dim) != self.dim:
-            raise GeometryError(f"dim must be an integer >= 2, got {self.dim}")
         for name in ("epsilon", "kappa0", "m", "r0", "r_neck", "outer_radius"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -133,17 +130,14 @@ class NeckProfile:
 
     @property
     def flat_measure(self) -> float:
-        """(d-1)-measure of the flat contact set (a ball of radius r0)."""
-        if self.kind is ProfileKind.POWER or self.r0 == 0.0:
+        """Length 2*r0 of the flat contact set |x1| <= r0; 0 for Power."""
+        if self.kind is ProfileKind.POWER:
             return 0.0
-        k = self.dim - 1
-        unit = math.pi ** (k / 2.0) / math.gamma(k / 2.0 + 1.0)
-        return unit * self.r0 ** k
+        return 2.0 * self.r0
 
 
 def make_profile(
     kind,
-    dim: int = 2,
     epsilon: float = 1e-2,
     kappa0: float = 1.0,
     m: float | None = None,
@@ -171,7 +165,6 @@ def make_profile(
         m = None
     return NeckProfile(
         kind=kind,
-        dim=dim,
         epsilon=float(epsilon),
         kappa0=float(kappa0),
         m=None if m is None else float(m),
@@ -188,18 +181,3 @@ def gap(profile: NeckProfile, x1):
     """
     profile._check_chart(x1)
     return profile.epsilon + 2.0 * profile._half_sep(x1)
-
-
-def dist_to_flat(profile: NeckProfile, x1):
-    """Distance from x1 to the flat contact set (Flat profiles only).
-
-    Zero inside the flat set; |x1| - r0 outside.  r0 = 0 degenerates to
-    point contact and returns |x1|.
-    """
-    if profile.kind is not ProfileKind.FLAT:
-        raise GeometryError("dist_to_flat is defined for Flat profiles only")
-    a = np.abs(np.asarray(x1, dtype=float))
-    out = np.maximum(a - profile.r0, 0.0)
-    if np.isscalar(x1):
-        return float(out)
-    return out

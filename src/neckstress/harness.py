@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass, asdict, field, replace
 
@@ -99,6 +100,9 @@ class ExperimentConfig:
             raise HarnessError("eps_list must be strictly decreasing")
         object.__setattr__(self, "eps_list", eps)
         resolve_phi(self.phi)   # validates the selector
+        frac = self.neck_measure_frac
+        if not (math.isfinite(frac) and frac > 0.0):
+            raise HarnessError(f"neck_measure_frac must be finite and > 0, got {frac!r}")
 
     def profile_for(self, eps: float) -> NeckProfile:
         return make_profile(
@@ -285,14 +289,22 @@ def write_csv(rows: list[dict], path: str):
 
 
 def read_csv(path: str) -> list[dict]:
+    """Rows of a file written by :func:`write_csv`.  A missing schema or
+    column header, or a row whose field count differs from the header's,
+    raises :class:`HarnessError` naming the path and line."""
     with open(path, "r", encoding="utf-8") as f:
-        lines = [ln for ln in f.read().splitlines() if ln]
-    if not lines or lines[0] != CSV_SCHEMA:
+        lines = [(i, ln) for i, ln in enumerate(f.read().splitlines(), 1) if ln]
+    if not lines or lines[0][1] != CSV_SCHEMA:
         raise HarnessError(f"{path}: missing schema header {CSV_SCHEMA!r}")
-    header = lines[1].split(",")
+    if len(lines) < 2:
+        raise HarnessError(f"{path}: missing column header after the schema line")
+    header = lines[1][1].split(",")
     rows = []
-    for ln in lines[2:]:
+    for lineno, ln in lines[2:]:
         parts = ln.split(",")
+        if len(parts) != len(header):
+            raise HarnessError(f"{path}:{lineno}: {len(parts)} fields, "
+                               f"the header has {len(header)}")
         row = {}
         for key, raw in zip(header, parts):
             if key in ("status", "solver_method", "message"):

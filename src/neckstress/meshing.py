@@ -16,9 +16,10 @@ Mesh layout (d = 2 only):
   radially.  The ray rings share the mouth-segment nodes of the neck block,
   which makes the whole triangulation conforming.
 
-The neck block is built exactly mirror-symmetric in x1 (mirrored node
-coordinates and mirrored diagonals), so symmetric problems stay symmetric at
-the discrete level.
+The nodes mirror exactly in x1, and the neck block's diagonals do too, so
+symmetric problems stay symmetric at the discrete level inside the neck
+block only: every annulus quad takes the same diagonal, which leaves
+midside dofs of the outer region with no mirror partner (ROADMAP item 8).
 """
 
 from __future__ import annotations
@@ -299,8 +300,6 @@ def build_mesh(profile: NeckProfile, config: GradingConfig | None = None) -> Mes
     """
     if config is None:
         config = GradingConfig()
-    if profile.dim != 2:
-        raise MeshingError("meshing supports dim = 2 only")
 
     layers = config.layers
     xs = _neck_columns(profile, config)
@@ -468,100 +467,6 @@ def validate_mesh(mesh: Mesh):
     if bad.size:
         a, b = be[bad[0]]
         raise MeshingError(f"tagged edge ({a},{b}) is not a boundary edge")
-
-
-# ---------------------------------------------------------------------------
-# uniform refinement
-
-def refine_uniform(mesh: Mesh, profile: NeckProfile | None = None) -> Mesh:
-    """Split every triangle into four; snap boundary midpoints to the curves.
-
-    With ``profile`` given, new midpoints of tagged edges are projected onto
-    the analytic boundary (neck curve, closure arc or outer circle); without
-    it the refinement is purely affine.
-    """
-    nodes = mesh.nodes
-    cells = mesh.cells
-    pairs = np.sort(np.concatenate([
-        cells[:, [0, 1]], cells[:, [1, 2]], cells[:, [2, 0]]
-    ]), axis=1)
-    uniq, inv = np.unique(pairs, axis=0, return_inverse=True)
-    inv = np.asarray(inv).reshape(-1)
-    mid_ids = mesh.n_nodes + np.arange(uniq.shape[0])
-    mids = 0.5 * (nodes[uniq[:, 0]] + nodes[uniq[:, 1]])
-
-    edge_key = {}
-    for i, (a, b) in enumerate(np.sort(mesh.edges, axis=1)):
-        edge_key[(int(a), int(b))] = i
-
-    if profile is not None:
-        xc = mesh.meta["x_cut"]
-        cy = mesh.meta["arc_center_y"]
-        rad = mesh.meta["arc_radius"]
-        for i, (a, b) in enumerate(uniq):
-            tag_idx = edge_key.get((int(a), int(b)))
-            if tag_idx is None:
-                continue
-            tag = int(mesh.edge_tags[tag_idx])
-            x, y = mids[i]
-            if tag == BoundaryTag.OUTER:
-                r = math.hypot(x, y)
-                mids[i] = (profile.outer_radius / r) * mids[i]
-            elif tag == BoundaryTag.INCLUSION_TOP:
-                if abs(x) <= xc * (1.0 + 1e-12) and y <= cy:
-                    mids[i, 1] = profile.top(min(max(x, -xc), xc))
-                else:
-                    v = mids[i] - np.array([0.0, cy])
-                    mids[i] = np.array([0.0, cy]) + (rad / np.linalg.norm(v)) * v
-            else:
-                cy2 = profile.epsilon - cy
-                if abs(x) <= xc * (1.0 + 1e-12) and y >= cy2:
-                    mids[i, 1] = profile.bottom(min(max(x, -xc), xc))
-                else:
-                    v = mids[i] - np.array([0.0, cy2])
-                    mids[i] = np.array([0.0, cy2]) + (rad / np.linalg.norm(v)) * v
-
-    m01 = mid_ids[inv[: len(cells)]]
-    m12 = mid_ids[inv[len(cells): 2 * len(cells)]]
-    m20 = mid_ids[inv[2 * len(cells):]]
-    a, b, c = cells[:, 0], cells[:, 1], cells[:, 2]
-    new_cells = np.concatenate([
-        np.stack([a, m01, m20], axis=1),
-        np.stack([m01, b, m12], axis=1),
-        np.stack([m20, m12, c], axis=1),
-        np.stack([m01, m12, m20], axis=1),
-    ], axis=0)
-    # keep children of cell i contiguous so the neck block stays a prefix
-    new_cells = new_cells.reshape(4, len(cells), 3).transpose(1, 0, 2).reshape(-1, 3)
-
-    new_edges = []
-    new_tags = []
-    for (a0, b0), tag in zip(mesh.edges, mesh.edge_tags):
-        key = (int(min(a0, b0)), int(max(a0, b0)))
-        row = np.nonzero((uniq[:, 0] == key[0]) & (uniq[:, 1] == key[1]))[0][0]
-        mid = mid_ids[row]
-        new_edges.append((a0, mid))
-        new_edges.append((mid, b0))
-        new_tags += [tag, tag]
-
-    new_nodes = np.vstack([nodes, mids])
-    new_edges = np.array(new_edges, dtype=np.int64)
-    new_tags = np.array(new_tags, dtype=np.int8)
-    meta = dict(mesh.meta)
-    meta["n_neck_cells"] = 4 * mesh.meta["n_neck_cells"]
-
-    report = GradingReport(
-        n_nodes=new_nodes.shape[0],
-        n_cells=new_cells.shape[0],
-        n_neck_cells=meta["n_neck_cells"],
-        min_layers=2 * mesh.grading_report.min_layers,
-        min_quality=float(triangle_quality(new_nodes, new_cells).min()),
-        dx_min=0.5 * mesh.grading_report.dx_min,
-        dx_max=0.5 * mesh.grading_report.dx_max,
-    )
-    out = Mesh(new_nodes, new_cells, new_edges, new_tags, report, meta)
-    validate_mesh(out)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ def test_vtilde_derivative_bound():
     for x1 in np.linspace(-0.9, 0.9, 25):
         x = np.array([x1, 0.4 * p.epsilon + 0.3 * p.h2(x1)])
         fd = (ns.vtilde(p, psi, x + [h, 0]) - ns.vtilde(p, psi, x - [h, 0])) / (2 * h)
-        dloc = ns.dist_to_flat(p, x1)
+        dloc = max(abs(x1) - p.r0, 0.0)
         envelope = dloc / (p.epsilon + dloc**2) * np.abs(psi(np.array([x1, p.top(x1)]))).max() + 1.0
         samples.append(np.abs(fd).max() / envelope)
     fitted_c = max(samples)

@@ -84,6 +84,15 @@ def test_fit_subcommand(tmp_path, capsys):
     assert -0.65 < data["slope"] < -0.35
 
 
+def test_fit_subcommand_names_an_unknown_column(tmp_path):
+    # the column lookup used to raise KeyError
+    path = tmp_path / "sweep.csv"
+    rows = "".join(f"{e},ok,{1.0 / e}\n" for e in (1e-1, 1e-2, 1e-3, 1e-4))
+    path.write_text(f"# neckstress-v1\neps,status,max_grad_u\n{rows}")
+    with pytest.raises(HarnessError, match=f"^{re.escape(str(path))}: no column 'nope'$"):
+        main(["fit", str(path), "--column", "nope"])
+
+
 def test_oracle_subcommand(tmp_path, capsys):
     out = tmp_path / "oracle.json"
     rc = main(["oracle", "--dims", "2", "--orders", "2,3", "--out", str(out)])

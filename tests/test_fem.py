@@ -225,9 +225,31 @@ def test_b_vector_volume_vs_traction(power_cells, power_system):
     assert rel < 1e-6
 
 
+def _red_split(mesh):
+    """Affine refinement: every triangle splits into four at its edge
+    midpoints and every tagged edge into two, so the polygon stays fixed and
+    the meshes are nested."""
+    c, n = mesh.cells, mesh.n_nodes
+    pairs = np.sort(np.concatenate([c[:, [0, 1]], c[:, [1, 2]], c[:, [2, 0]]]), axis=1)
+    uniq, inv = np.unique(pairs, axis=0, return_inverse=True)
+    m01, m12, m20 = n + np.asarray(inv).reshape(3, -1)
+    a, b, d = c.T
+    cells = np.concatenate([np.stack(t, axis=1) for t in (
+        (a, m01, m20), (m01, b, m12), (m20, m12, d), (m01, m12, m20))])
+    nodes = np.vstack([mesh.nodes, 0.5 * (mesh.nodes[uniq[:, 0]] + mesh.nodes[uniq[:, 1]])])
+    # uniq is sorted by rows, so its keys are sorted too
+    be = np.sort(mesh.edges, axis=1)
+    mid = n + np.searchsorted(uniq[:, 0] * n + uniq[:, 1], be[:, 0] * n + be[:, 1])
+    edges = np.concatenate([np.column_stack([mesh.edges[:, 0], mid]),
+                            np.column_stack([mid, mesh.edges[:, 1]])])
+    tags = np.concatenate([mesh.edge_tags, mesh.edge_tags])
+    return ns.Mesh(nodes, cells, edges, tags, mesh.grading_report, dict(mesh.meta))
+
+
 def test_h_convergence_under_refinement(power_profile, params):
     """Cell-problem energy decreases monotonically toward a Richardson limit
-    under uniform refinement (within small snapping noise)."""
+    under nested affine refinement: the P2 spaces are nested and the data
+    are interpolated exactly, so the Galerkin energy cannot rise."""
     mesh = ns.build_mesh(power_profile, COARSE)
     energies = []
     for _ in range(3):
@@ -235,10 +257,9 @@ def test_h_convergence_under_refinement(power_profile, params):
         (v11,), _ = ds.solve({"v1^1": {BT.INCLUSION_TOP: ns.rigid_basis(2)[0],
                                        BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0}})
         energies.append(ns.energy_integral(params, v11, v11))
-        mesh = ns.refine_uniform(mesh, power_profile)
+        mesh = _red_split(mesh)
     e0, e1, e2 = energies
-    # monotone within noise (boundary snapping converges the discrete domain
-    # from one side, so the sequence is one-sided) and contracting
+    # monotone and contracting
     tol = 1e-3 * abs(e0)
     d1, d2 = e1 - e0, e2 - e1
     assert d1 * d2 >= -tol * abs(d1)
@@ -312,10 +333,9 @@ def test_field_export_matches_per_line_writer(tmp_path, power_cells):
 def test_solve_report_fields(power_solver):
     (f,), rep = power_solver.solve({"v1^1": {BT.INCLUSION_TOP: ns.rigid_basis(2)[0],
                                              BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0}})
-    assert rep.n_dof > 0
+    assert rep.iterations > 0
     assert rep.rel_residual <= 1e-10
     assert rep.method in ("pcg", "pcg->direct")
-    assert rep.wall_time > 0.0
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])

@@ -67,17 +67,6 @@ def test_make_profile_rejects_non_finite_fields(kind, field, value):
         ns.make_profile(kind, **{field: value})
 
 
-def test_dist_to_flat_examples():
-    p = ns.make_profile("flat", epsilon=0.01, r0=0.3)
-    assert ns.dist_to_flat(p, 0.2) == 0.0
-    assert ns.dist_to_flat(p, 0.5) == pytest.approx(0.2)
-    p0 = ns.make_profile("flat", epsilon=0.01, r0=0.0)
-    assert ns.dist_to_flat(p0, 0.5) == pytest.approx(0.5)
-    pw = ns.make_profile("power", epsilon=0.01, m=2.0)
-    with pytest.raises(GeometryError):
-        ns.dist_to_flat(pw, 0.1)
-
-
 def test_flat_r0_zero_degenerates_to_power_m2():
     pf = ns.make_profile("flat", epsilon=0.01, r0=0.0, kappa0=1.3)
     pp = ns.make_profile("power", epsilon=0.01, m=2.0, kappa0=1.3)
@@ -126,7 +115,5 @@ def test_power_separation_strict():
 
 def test_flat_measure():
     p2 = ns.make_profile("flat", epsilon=1e-2, r0=0.3)
-    assert p2.flat_measure == pytest.approx(0.6)
-    p3 = ns.make_profile("flat", dim=3, epsilon=1e-2, r0=0.3)
-    assert p3.flat_measure == pytest.approx(math.pi * 0.09)
+    assert p2.flat_measure == 2 * 0.3
     assert ns.make_profile("power", epsilon=1e-2, m=2.0).flat_measure == 0.0

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import re
 import types
 import weakref
 from dataclasses import replace
@@ -86,6 +87,14 @@ def test_config_unknown_phi():
         replace(ns.ExperimentConfig(), phi="bogus")
 
 
+@pytest.mark.parametrize("frac", [math.nan, math.inf, 0.0, -1.0])
+def test_config_rejects_a_neck_measure_frac_that_is_not_finite_and_positive(frac):
+    # such a fraction used to mesh and solve every point in full, then
+    # record it as an empty measurement region that names no field
+    with pytest.raises(HarnessError, match="^neck_measure_frac must be finite and > 0"):
+        replace(ns.ExperimentConfig(), neck_measure_frac=frac)
+
+
 def test_resolve_phi_selectors():
     pts = np.array([[0.5, 2.0], [-1.0, 3.0]])
     assert np.allclose(ns.resolve_phi("affine-x2")(pts), [[2.0, 0.0], [3.0, 0.0]])
@@ -142,6 +151,22 @@ def test_csv_roundtrip(tmp_path, fast_rows):
         assert b["eps"] == a["eps"]
         assert b["max_grad_u"] == a["max_grad_u"]   # full-precision floats
         assert b["status"] == a["status"]
+
+
+def test_read_csv_rejects_a_row_with_a_wrong_field_count(tmp_path):
+    # zip used to truncate the short row, and a fit then raised KeyError
+    path = tmp_path / "short.csv"
+    path.write_text(f"{CSV_SCHEMA}\neps,status,max_grad_u\n0.01,ok,2.5\n0.001,ok\n")
+    with pytest.raises(HarnessError, match=f"^{re.escape(str(path))}:4: 2 fields, the header has 3$"):
+        ns.read_csv(str(path))
+
+
+def test_read_csv_rejects_a_file_with_no_column_header(tmp_path):
+    # the schema line alone used to raise IndexError
+    path = tmp_path / "schema_only.csv"
+    path.write_text(f"{CSV_SCHEMA}\n")
+    with pytest.raises(HarnessError, match=f"^{re.escape(str(path))}: missing column header"):
+        ns.read_csv(str(path))
 
 
 def test_sweep_summary_fits(fast_rows):

@@ -116,12 +116,6 @@ def test_grading_rejects_zero_or_non_finite_caps(field, value):
         GradingConfig(**{field: value})
 
 
-def test_dim3_rejected():
-    p = ns.make_profile("power", dim=3, epsilon=1e-2, m=2.0)
-    with pytest.raises(MeshingError):
-        ns.build_mesh(p)
-
-
 def test_budget_refinement_regression(power_profile):
     # budget x4: dof count grows, min quality does not degrade (the worst
     # cell is the gap-minimum anchor cell, whose aspect is scale-invariant)
@@ -164,21 +158,6 @@ def test_mesh_build_deterministic(power_profile):
     a = dumps_mesh(ns.build_mesh(power_profile, COARSE))
     b = dumps_mesh(ns.build_mesh(power_profile, COARSE))
     assert a == b
-
-
-def test_refine_uniform(power_profile):
-    base = ns.build_mesh(power_profile, COARSE)
-    fine = ns.refine_uniform(base, power_profile)
-    assert fine.n_cells == 4 * base.n_cells
-    assert fine.meta["n_neck_cells"] == 4 * base.meta["n_neck_cells"]
-    assert np.all(fine.signed_areas() > 0.0)
-    # child boundary edges double and keep their tags
-    for tag in (BoundaryTag.INCLUSION_TOP, BoundaryTag.INCLUSION_BOTTOM, BoundaryTag.OUTER):
-        n0 = np.count_nonzero(base.edge_tags == int(tag))
-        n1 = np.count_nonzero(fine.edge_tags == int(tag))
-        assert n1 == 2 * n0
-    # midpoint refinement preserves shape quality exactly away from snapping
-    assert fine.grading_report.min_quality >= 0.5 * base.grading_report.min_quality
 
 
 def test_quality_metric():
