@@ -2,7 +2,6 @@
 rigid inclusions separated by a thin neck."""
 
 from .asymptotics import (
-    RatePrediction,
     ScalingLaw,
     flat_entry_oracle,
     integral_law,
@@ -33,7 +32,6 @@ from .fem import (
     DirichletSolver,
     DisplacementField,
     P2Space,
-    Region,
     SolveReport,
     SolverConfig,
     boundary_traction_moment,
@@ -51,6 +49,7 @@ from .geometry import (
     ProfileKind,
     gap,
     make_profile,
+    neck_region,
 )
 from .harness import (
     ExperimentConfig,

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .elasticity import n_rigid
-from .geometry import ChartError, NeckProfile, ProfileKind
+from .geometry import ChartError, NeckProfile
 
 
 class AsymptoticsError(ValueError):
@@ -77,41 +77,39 @@ def vtilde(profile: NeckProfile, psi, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # scaling laws
 
-def rho(kind: int, k: float, m: float, epsilon: float) -> float:
-    """The rho1/rho2 scaling value; the m = k case is the exact |log eps|
-    branch with no smoothing between branches."""
+@dataclass(frozen=True)
+class ScalingLaw:
+    """Predicted eps-dependence eps**exponent * |log eps|**log_factor;
+    ``regime`` names the case of a rate table that gave it."""
+
+    exponent: float
+    log_factor: int = 0
+    regime: str = ""
+
+
+def rho_law(kind: int, k: float, m: float) -> ScalingLaw:
+    """The rho1/rho2 law: O(1) for m < k, the exact |log eps| branch at
+    m = k with no smoothing between branches, a pure power for m > k."""
     if kind not in (1, 2):
         raise AsymptoticsError(f"rho kind must be 1 or 2, got {kind}")
     if k < 1:
         raise AsymptoticsError(f"rho requires k >= 1, got {k}")
     if m < 2:
         raise AsymptoticsError(f"rho requires m >= 2, got {m}")
+    if m < k:
+        return ScalingLaw(0.0)
+    if m == k:
+        return ScalingLaw(0.0, 1)
+    denom = m if kind == 1 else 2.0 * m
+    return ScalingLaw((k - m) / denom)
+
+
+def rho(kind: int, k: float, m: float, epsilon: float) -> float:
+    """The value of :func:`rho_law` at one gap width."""
+    law = rho_law(kind, k, m)
     if not (0.0 < epsilon < 0.5):
         raise AsymptoticsError(f"rho requires eps in (0, 1/2), got {epsilon}")
-    if m < k:
-        return 1.0
-    if m == k:
-        return abs(math.log(epsilon))
-    denom = m if kind == 1 else 2.0 * m
-    return epsilon ** ((k - m) / denom)
-
-
-@dataclass(frozen=True)
-class ScalingLaw:
-    """eps-dependence of one integrand family: constant, |log eps|, or a
-    pure power."""
-
-    exponent: float      # 0 for const and log cases
-    has_log: bool
-
-
-def rho_law(kind: int, k: float, m: float) -> ScalingLaw:
-    if m < k:
-        return ScalingLaw(0.0, False)
-    if m == k:
-        return ScalingLaw(0.0, True)
-    denom = m if kind == 1 else 2.0 * m
-    return ScalingLaw((k - m) / denom, False)
+    return epsilon ** law.exponent * abs(math.log(epsilon)) ** law.log_factor
 
 
 def integral_law(k: float, m: float, p: float) -> ScalingLaw:
@@ -123,10 +121,10 @@ def integral_law(k: float, m: float, p: float) -> ScalingLaw:
     """
     crit = p * m
     if crit < k + 1.0 - 1e-12:
-        return ScalingLaw(0.0, False)
+        return ScalingLaw(0.0)
     if abs(crit - (k + 1.0)) <= 1e-12:
-        return ScalingLaw(0.0, True)
-    return ScalingLaw((k + 1.0 - crit) / m, False)
+        return ScalingLaw(0.0, 1)
+    return ScalingLaw((k + 1.0 - crit) / m)
 
 
 # ---------------------------------------------------------------------------
@@ -249,60 +247,31 @@ def flat_entry_oracle(d: int, sigma: float, epsilon: float,
 # ---------------------------------------------------------------------------
 # rate predictions
 
-@dataclass(frozen=True)
-class RatePrediction:
-    """Predicted eps-rate of the maximal displacement gradient.
-
-    ``exponent`` is the power of eps (0 means bounded) and ``log_factor``
-    the exponent of |log eps| in the predicted size, so the prediction is
-    eps**exponent * |log eps|**log_factor.  ``geometry`` echoes the case:
-    ("power", m) or ("flat", flat-set measure).
-    """
-
-    dim: int
-    regime: str
-    exponent: float
-    log_factor: int = 0
-    geometry: tuple = ()
-
-
-def predicted_rate(d: int, geometry) -> RatePrediction:
-    """Rate table as a function of dimension and geometry.
-
-    ``geometry`` is a :class:`NeckProfile`, or a tuple ("flat", sigma) /
-    ("power", m).  A flat geometry with positive flat-set measure is
-    bounded; zero measure degenerates to order m = 2.
-    """
-    kind, value = _geometry_key(geometry)
+def predicted_rate(d: int, geometry) -> ScalingLaw:
+    """Rate table of the maximal displacement gradient as a function of
+    dimension and geometry, ("power", m) or ("flat", sigma) with flat-set
+    measure sigma > 0, as ``ExperimentConfig.geometry_for_rates`` gives it.
+    Flat contact is bounded."""
+    kind, value = geometry
     if d < 2:
         raise AsymptoticsError("d >= 2 required")
     if kind == "flat":
-        if value > 0.0:
-            return RatePrediction(d, "flat-bounded", 0.0, 0, ("flat", value))
-        return predicted_rate(d, ("power", 2.0))
+        if not value > 0.0:
+            raise AsymptoticsError(f"flat-set measure must be > 0, got {value}")
+        return ScalingLaw(0.0, 0, "flat-bounded")
     m = value
     if m < 2:
         raise AsymptoticsError("m >= 2 required")
-    geo = ("power", m)
     if m < d - 1:
-        return RatePrediction(d, "m<d-1", -1.0, 0, geo)
+        return ScalingLaw(-1.0, 0, "m<d-1")
     if m == d - 1:
-        return RatePrediction(d, "m=d-1", -1.0, -1, geo)
+        return ScalingLaw(-1.0, -1, "m=d-1")
     if m < d + 1:
         # the sup over x' of the pointwise envelope grows like its larger term
-        return RatePrediction(d, "d-1<m<d+1", -max(1.0 - 1.0 / m, (d - 1.0) / m), 0, geo)
+        return ScalingLaw(-max(1.0 - 1.0 / m, (d - 1.0) / m), 0, "d-1<m<d+1")
     if m == d + 1:
-        return RatePrediction(d, "m=d+1", -(1.0 - 1.0 / m), -1, geo)
-    return RatePrediction(d, "m>d+1", -d / m, 0, geo)
-
-
-def _geometry_key(geometry):
-    if isinstance(geometry, NeckProfile):
-        if geometry.kind is ProfileKind.FLAT:
-            return "flat", geometry.flat_measure
-        return "power", geometry.m
-    kind, value = geometry
-    return str(kind).lower(), float(value)
+        return ScalingLaw(-(1.0 - 1.0 / m), -1, "m=d+1")
+    return ScalingLaw(-d / m, 0, "m>d+1")
 
 
 def gram_integral_cases(d: int) -> list[tuple[int, float, int, int]]:

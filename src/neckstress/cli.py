@@ -18,6 +18,7 @@ import numpy as np
 
 from . import asymptotics as asy
 from .harness import (
+    TEXT_COLUMNS,
     ExperimentConfig,
     HarnessError,
     compare_oracles,
@@ -46,6 +47,17 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--budget-scale", dest="budget_scale", type=float)
     p.add_argument("--tol", type=float)
     p.add_argument("--out", dest="out", help="output path")
+
+
+def _list_of(convert):
+    """argparse type of a comma-separated list, each item ``convert``-ed."""
+    def parse(text: str) -> list:
+        try:
+            return [convert(s) for s in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {convert.__name__}s, got {text!r}") from None
+    return parse
 
 
 def _config_from_args(args) -> ExperimentConfig:
@@ -82,8 +94,8 @@ def main(argv=None) -> int:
     p_fit.add_argument("--exponent", type=float, help="predicted exponent")
 
     p_or = sub.add_parser("oracle", help="quadrature oracle vs scaling laws")
-    p_or.add_argument("--dims", default="2,3,4")
-    p_or.add_argument("--orders", default="2,3,4,6")
+    p_or.add_argument("--dims", type=_list_of(int), default="2,3,4")
+    p_or.add_argument("--orders", type=_list_of(float), default="2,3,4,6")
     p_or.add_argument("--tol", type=float, default=0.05)
     p_or.add_argument("--out", help="JSON report path")
 
@@ -145,17 +157,18 @@ def main(argv=None) -> int:
         rows = read_csv(args.csv)
         if rows and args.column not in rows[0]:
             raise HarnessError(f"{args.csv}: no column {args.column!r}")
+        if args.column in TEXT_COLUMNS:
+            raise HarnessError(f"{args.csv}: column {args.column!r} is not numeric")
         samples = [(r["eps"], r[args.column]) for r in rows
                    if r["status"] == "ok" and np.isfinite(r[args.column])
                    and r[args.column] > 0]
-        fit = fit_rate(samples, args.exponent)
+        law = None if args.exponent is None else asy.ScalingLaw(args.exponent)
+        fit = fit_rate(samples, law)
         print(json.dumps(fit.as_dict(), indent=2))
         return 0
 
     if args.command == "oracle":
-        dims = [int(s) for s in args.dims.split(",")]
-        orders = [float(s) for s in args.orders.split(",")]
-        report = oracle_table(dims, orders, tol=args.tol)
+        report = oracle_table(args.dims, args.orders, tol=args.tol)
         for line in report["lines"]:
             print(line)
         print(f"oracle vs scaling laws: {report['n_pass']}/{report['n_cases']} PASS")
@@ -182,12 +195,12 @@ def oracle_table(dims, orders, eps_lo: float = 1e-6, eps_hi: float = 1e-2,
                 law = asy.rho_law(rho_kind, rho_k, m)
                 vals = [(e, asy.singular_integral_oracle(k, m, p, e)) for e in eps_grid]
                 fit = fit_rate(vals, law)
-                slope = fit.corrected_slope if law.has_log else fit.slope
+                slope = fit.law_slope
                 dev = abs(slope - law.exponent)
                 ok = dev <= tol
                 n_cases += 1
                 n_pass += ok
-                tagtxt = "log" if law.has_log else "   "
+                tagtxt = "log" if law.log_factor else "   "
                 lines.append(
                     f"d={d} k={k} p={p:<3} m={m:<3} rho{rho_kind}({rho_k},m) {tagtxt} "
                     f"fit={slope:+.4f} law={law.exponent:+.4f} dev={dev:.4f} "
@@ -196,7 +209,7 @@ def oracle_table(dims, orders, eps_lo: float = 1e-6, eps_hi: float = 1e-2,
                     "d": d, "k": k, "p": p, "m": m,
                     "rho_kind": rho_kind, "rho_k": rho_k,
                     "fitted": slope, "law": law.exponent,
-                    "has_log": law.has_log, "deviation": dev, "pass": bool(ok),
+                    "has_log": bool(law.log_factor), "deviation": dev, "pass": bool(ok),
                 })
     return {"lines": lines, "cases": cases, "n_pass": int(n_pass),
             "n_cases": int(n_cases), "tolerance": tol}

@@ -29,7 +29,6 @@ from .elasticity import ElasticParams, rigid_basis
 from .fem import (
     DirichletSolver,
     DisplacementField,
-    Region,
     SolveReport,
     SolverConfig,
     energy_integral,
@@ -171,8 +170,9 @@ def reconstruct(cells: CellSolutions, system: CoefficientSystem,
     return DisplacementField(cells.v3.space, vals, name)
 
 
-def sum_field_check(cells: CellSolutions, region: Region) -> dict:
-    """Max neck gradient of v1[a] + v2[a] per rigid index a.
+def sum_field_check(cells: CellSolutions, region) -> dict:
+    """Max gradient of v1[a] + v2[a] over ``region`` (a predicate of
+    points, see :func:`max_gradient`) per rigid index a.
 
     The sums stay O(1) as the gap closes even though each summand blows up;
     a sweep-level fit with exponent above ~0.15 flags a violation."""

@@ -31,7 +31,6 @@ from functools import cached_property
 import numpy as np
 
 from .elasticity import ElasticParams
-from .geometry import NeckProfile
 from .meshing import FLOAT_FMT, BoundaryTag, Mesh, format_rows
 
 # degree-2 rule on the reference triangle (weights sum to 1/2)
@@ -425,38 +424,6 @@ def interpolate(space: P2Space, fn, name: str = "interp") -> DisplacementField:
     return DisplacementField(space, vals, name)
 
 
-# ---------------------------------------------------------------------------
-# regions
-
-@dataclass(frozen=True)
-class Region:
-    """Measurement region: the neck strip |x1| < r or its complement."""
-
-    kind: str                     # "neck" | "shell" | "all"
-    profile: NeckProfile | None = None
-    r: float = 0.0
-
-    @classmethod
-    def neck(cls, profile: NeckProfile, r: float | None = None) -> "Region":
-        return cls("neck", profile, profile.r_neck if r is None else r)
-
-    def point_mask(self, pts: np.ndarray) -> np.ndarray:
-        if self.kind == "all":
-            return np.ones(pts.shape[0], dtype=bool)
-        x, y = pts[:, 0], pts[:, 1]
-        inside = np.abs(x) < self.r
-        xc = np.clip(x, -self.r, self.r)
-        tol = 1e-9 * self.profile.r_neck
-        inside &= (y >= self.profile.bottom(xc) - tol)
-        inside &= (y <= self.profile.top(xc) + tol)
-        if self.kind == "neck":
-            return inside
-        return ~inside
-
-    def cell_mask(self, space: P2Space) -> np.ndarray:
-        return self.point_mask(space.mesh.cell_centroids())
-
-
 def _grads_at(space: P2Space, values: np.ndarray, cells: np.ndarray,
               bary: np.ndarray) -> np.ndarray:
     """Gradients d u_i / d x_j of a P2 field on given cells at reference
@@ -486,15 +453,16 @@ def gradient_at(field: DisplacementField, point) -> np.ndarray:
     return g[0, 0]
 
 
-def max_gradient(field: DisplacementField, region: Region) -> tuple[float, np.ndarray]:
-    """Max Frobenius norm of the gradient over sample points in the region.
+def max_gradient(field: DisplacementField, region) -> tuple[float, np.ndarray]:
+    """Max Frobenius norm of the gradient over sample points of the cells
+    whose centroids ``region(points)`` holds true.
 
     Samples are the cell vertices and edge midpoints (P2 gradients are linear
     per cell, so vertices carry the per-cell extrema); the reported location
     is the best sample, not a continuous optimizer.
     """
     space = field.space
-    cells = np.nonzero(region.cell_mask(space))[0]
+    cells = np.nonzero(region(space.mesh.cell_centroids()))[0]
     if cells.size == 0:
         raise FemError("empty measurement region")
     g = _grads_at(space, field.values, cells, _SAMPLE_BARY)

@@ -174,6 +174,20 @@ def make_profile(
     )
 
 
+def neck_region(profile: NeckProfile, r: float):
+    """Predicate of an (n, 2) point array: true in the neck strip |x1| < r
+    between the inclusion boundaries, with tolerance 1e-9 r_neck."""
+    tol = 1e-9 * profile.r_neck
+
+    def inside(pts):
+        x, y = pts[:, 0], pts[:, 1]
+        xc = np.clip(x, -r, r)
+        return ((np.abs(x) < r) & (y >= profile.bottom(xc) - tol)
+                & (y <= profile.top(xc) + tol))
+
+    return inside
+
+
 def gap(profile: NeckProfile, x1):
     """Gap width eps + h1(x1) - h2(x1) between the inclusion boundaries.
 

@@ -30,14 +30,13 @@ from .decomposition import (
 from .elasticity import ElasticParams, rigid_basis
 from .fem import (
     DisplacementField,
-    Region,
     SolverConfig,
     boundary_traction_moment,
     export_field,
     gradient_sq_integral,
     max_gradient,
 )
-from .geometry import NeckProfile, gap, make_profile
+from .geometry import NeckProfile, gap, make_profile, neck_region
 from .meshing import FLOAT_FMT, BoundaryTag, GradingConfig, build_mesh
 
 logger = logging.getLogger(__name__)
@@ -54,6 +53,10 @@ CSV_COLUMNS = [
     "sumgrad_1", "sumgrad_2", "sumgrad_3", "maxgrad_v11",
     "solver_iters", "solver_method", "message",
 ]
+
+
+# the CSV columns that hold text; every other column is a number
+TEXT_COLUMNS = ("status", "solver_method", "message")
 
 
 class HarnessError(RuntimeError):
@@ -127,7 +130,10 @@ class ExperimentConfig:
     def solver(self) -> SolverConfig:
         return SolverConfig(tol=self.solver_tol)
 
-    def geometry_for_rates(self):
+    def geometry_for_rates(self) -> tuple:
+        """("flat", flat-set measure) for flat contact with r0 > 0, else
+        ("power", m); flat with r0 = 0 is order-2 point contact.  Every rate
+        law and envelope reads the geometry from here."""
         if self.kind == "flat" and self.r0 > 0.0:
             return ("flat", 2.0 * self.r0)
         return ("power", self.m if self.kind == "power" else 2.0)
@@ -150,10 +156,14 @@ def resolve_phi(selector: str):
         # the rotation-coefficient differences
         return lambda pts: np.column_stack([pts[:, 1], pts[:, 0] * pts[:, 1]])
     if selector.startswith("rigid:"):
-        alpha = int(selector.split(":", 1)[1])
         basis = rigid_basis(2)
+        try:
+            alpha = int(selector.split(":", 1)[1])
+        except ValueError:
+            alpha = 0
         if not 1 <= alpha <= len(basis):
-            raise HarnessError(f"rigid index must be 1..{len(basis)}")
+            raise HarnessError(f"boundary data selector {selector!r}: "
+                               f"rigid index must be 1..{len(basis)}")
         return basis[alpha - 1]
     raise HarnessError(f"unknown boundary data selector {selector!r}")
 
@@ -209,7 +219,7 @@ def solve_point(config: ExperimentConfig, eps: float) -> SolvedPoint:
 def _measure_point(config: ExperimentConfig, eps: float, row: dict):
     point = solve_point(config, eps)
     profile, cells, system, u = point.profile, point.cells, point.system, point.u
-    region = Region.neck(profile, config.neck_measure_frac * profile.r_neck)
+    region = neck_region(profile, config.neck_measure_frac * profile.r_neck)
     gmax, where = max_gradient(u, region)
     row["n_dofs"] = 2 * u.space.n_scalar
     row["n_cells"] = u.space.mesh.n_cells
@@ -307,10 +317,14 @@ def read_csv(path: str) -> list[dict]:
                                f"the header has {len(header)}")
         row = {}
         for key, raw in zip(header, parts):
-            if key in ("status", "solver_method", "message"):
+            if key in TEXT_COLUMNS:
                 row[key] = raw
-            else:
+                continue
+            try:
                 row[key] = float(raw)
+            except ValueError:
+                raise HarnessError(f"{path}:{lineno}: column {key!r}: "
+                                   f"not a number: {raw!r}") from None
         rows.append(row)
     return rows
 
@@ -322,8 +336,8 @@ def read_csv(path: str) -> list[dict]:
 class RateFit:
     """Least-squares fit of log(value) against log(eps).
 
-    When the prediction carries a |log eps| factor the corrected fit divides
-    it out first; acceptance for the log regimes reads ``corrected_slope``.
+    When the law carries a |log eps| factor the corrected fit divides it
+    out first, and :attr:`law_slope` is the corrected slope.
     """
 
     eps: tuple
@@ -336,15 +350,19 @@ class RateFit:
     corrected_slope: float | None = None
     corrected_r2: float | None = None
 
+    @property
+    def law_slope(self) -> float:
+        """The slope to set against the law's exponent."""
+        return self.corrected_slope if self.log_factor else self.slope
+
     def as_dict(self) -> dict:
         return asdict(self)
 
 
-def fit_rate(samples, prediction=None) -> RateFit:
+def fit_rate(samples, law: asy.ScalingLaw | None = None) -> RateFit:
     """samples: iterable of (eps, value), all values positive, >= 4 points.
 
-    ``prediction`` may be a RatePrediction, a ScalingLaw, or a bare float
-    exponent; it sets predicted_exponent and the log-correction factor.
+    ``law`` sets predicted_exponent and the log-correction factor.
     """
     pairs = [(float(e), float(v)) for e, v in samples]
     if len(pairs) < 4:
@@ -354,17 +372,8 @@ def fit_rate(samples, prediction=None) -> RateFit:
     eps = np.array([e for e, _ in pairs])
     val = np.array([v for _, v in pairs])
 
-    pred_exp = None
-    log_factor = 0
-    if prediction is not None:
-        if isinstance(prediction, asy.RatePrediction):
-            pred_exp, log_factor = prediction.exponent, prediction.log_factor
-        elif isinstance(prediction, asy.ScalingLaw):
-            pred_exp = prediction.exponent
-            log_factor = 1 if prediction.has_log else 0
-        else:
-            pred_exp = float(prediction)
-
+    pred_exp = None if law is None else law.exponent
+    log_factor = 0 if law is None else law.log_factor
     slope, intercept, r2 = _loglog_fit(eps, val)
     corrected_slope = corrected_r2 = None
     if log_factor != 0:
@@ -393,7 +402,6 @@ def sweep_summary(config: ExperimentConfig, rows: list[dict]) -> dict:
     """Fits for the standard measured quantities, the eps and exception
     type of each failed point, and the config echo."""
     ok = [r for r in rows if r["status"] == "ok"]
-    geometry = config.geometry_for_rates()
     summary = {
         "config": {k: (list(v) if isinstance(v, tuple) else v)
                    for k, v in asdict(config).items()},
@@ -405,7 +413,7 @@ def sweep_summary(config: ExperimentConfig, rows: list[dict]) -> dict:
         "fits": {},
     }
     if len(ok) >= 4:
-        pred = asy.predicted_rate(2, geometry)
+        pred = asy.predicted_rate(2, config.geometry_for_rates())
         for col in ("max_grad_u", "a11_11", "a11_33", "cdiff_1", "cdiff_2",
                     "cdiff_3", "sumgrad_1", "sumgrad_2", "sumgrad_3",
                     "maxgrad_v11"):
@@ -414,10 +422,7 @@ def sweep_summary(config: ExperimentConfig, rows: list[dict]) -> dict:
             if len(vals) >= 4:
                 p = pred if col == "max_grad_u" else None
                 summary["fits"][col] = fit_rate(vals, p).as_dict()
-        summary["predicted_rate"] = {
-            "regime": pred.regime, "exponent": pred.exponent,
-            "log_factor": pred.log_factor,
-        }
+        summary["predicted_rate"] = asdict(pred)
     return summary
 
 
@@ -440,19 +445,24 @@ def _entry_rho_kind_k(d: int, al: int, be: int) -> tuple[int, int]:
     return (2, 2 * (d + 1))
 
 
-def _diag_envelope_terms(config: ExperimentConfig, al: int):
-    """The analytic terms whose nonnegative combination bounds a diagonal
-    a11 entry; the universal constants in the laws are unknown, so each
-    term carries a calibration constant fitted per experiment."""
-    d = 2
-    if config.kind == "flat" and config.r0 > 0.0:
-        sigma = 2.0 * config.r0
-        if al <= d:
-            return [lambda e: sigma / e, lambda e: e ** -0.5, lambda e: 1.0]
-        return [lambda e: sigma ** 3 / e, lambda e: 1.0]
-    kind, k = _entry_rho_kind_k(d, al, al)
-    m = config.m if config.kind == "power" else 2.0
-    return [lambda e: asy.rho(kind, k, m, e), lambda e: 1.0]
+def _entry_envelope(geometry, al: int, be: int):
+    """The rho law of the a11 entry (al, be) (None under flat contact) and
+    the analytic terms whose nonnegative combination bounds it.  A diagonal
+    entry's universal constants are unknown, so each of its terms carries a
+    calibration constant fitted per experiment; an off-diagonal entry has
+    the one term of its upper bound."""
+    kind, value = geometry
+    if kind == "flat":
+        if al != be:
+            return None, [lambda e: asy.flat_entry_oracle(2, value, e, (al, be))]
+        if al <= 2:
+            return None, [lambda e: value / e, lambda e: e ** -0.5, lambda e: 1.0]
+        return None, [lambda e: value ** 3 / e, lambda e: 1.0]
+    rho_kind, k = _entry_rho_kind_k(2, al, be)
+    law = asy.rho_law(rho_kind, k, value)
+    if al != be:
+        return law, [lambda e: asy.rho(rho_kind, k, value, e)]
+    return law, [lambda e: asy.rho(rho_kind, k, value, e), lambda e: 1.0]
 
 
 def _calibrated_envelope(terms, eps, values):
@@ -480,7 +490,7 @@ def compare_oracles(config: ExperimentConfig, rows: list[dict],
     ok = [r for r in rows if r["status"] == "ok"]
     if len(ok) < 4:
         raise HarnessError("need at least 4 successful rows to compare")
-    d = 2
+    geometry = config.geometry_for_rates()
     report = {"entries": {}, "offdiag": {}}
 
     for lab, (al, be) in DIAG_ENTRIES.items():
@@ -490,22 +500,12 @@ def compare_oracles(config: ExperimentConfig, rows: list[dict],
             continue
         eps = [e for e, _ in meas]
         vals = [v for _, v in meas]
-        terms = _diag_envelope_terms(config, al)
+        law, terms = _entry_envelope(geometry, al, be)
         coeffs, fitted, rel_misfit = _calibrated_envelope(terms, eps, vals)
-        if config.kind == "flat" and config.r0 > 0.0:
-            law = None
-        else:
-            kind, k = _entry_rho_kind_k(d, al, al)
-            m = config.m if config.kind == "power" else 2.0
-            law = asy.rho_law(kind, k, m)
-        has_log = law is not None and law.has_log
         pred_fit = fit_rate(list(zip(eps, fitted)), law)
         meas_fit = fit_rate(meas, law)
-        use_tol = tol_log if has_log else tol
-        if has_log and meas_fit.corrected_slope is not None:
-            dev = abs(meas_fit.corrected_slope - pred_fit.corrected_slope)
-        else:
-            dev = abs(meas_fit.slope - pred_fit.slope)
+        use_tol = tol_log if meas_fit.log_factor else tol
+        dev = abs(meas_fit.law_slope - pred_fit.law_slope)
         report["entries"][lab] = {
             "measured_slope": meas_fit.slope,
             "predicted_slope": pred_fit.slope,
@@ -520,13 +520,8 @@ def compare_oracles(config: ExperimentConfig, rows: list[dict],
 
     for lab, (al, be) in OFFDIAG_ENTRIES.items():
         vals = np.array([abs(r[f"a11_{lab}"]) for r in ok])
-        if config.kind == "flat" and config.r0 > 0.0:
-            env = np.array([asy.flat_entry_oracle(d, 2.0 * config.r0, r["eps"], (al, be))
-                            for r in ok])
-        else:
-            kind, k = _entry_rho_kind_k(d, al, be)
-            m = config.m if config.kind == "power" else 2.0
-            env = np.array([asy.rho(kind, k, m, r["eps"]) for r in ok])
+        _, (bound,) = _entry_envelope(geometry, al, be)
+        env = np.array([bound(r["eps"]) for r in ok])
         ratios = vals / env
         report["offdiag"][lab] = {
             "max_ratio": float(ratios.max()),

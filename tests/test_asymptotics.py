@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import neckstress as ns
-from neckstress.asymptotics import AsymptoticsError, integral_law, rho_law
+from neckstress.asymptotics import AsymptoticsError, ScalingLaw, integral_law, rho_law
 
 
 
@@ -104,8 +104,7 @@ def test_rho_log_branch_is_exact():
     eps = 1e-3
     assert ns.rho(1, 3, 3.0, eps) == abs(math.log(eps))
     assert ns.rho(2, 4, 4.0, eps) == abs(math.log(eps))
-    law = rho_law(1, 3, 3.0)
-    assert law.has_log and law.exponent == 0.0
+    assert rho_law(1, 3, 3.0) == ScalingLaw(0.0, 1)
 
 
 def test_integral_law_matches_rho_families():
@@ -117,7 +116,7 @@ def test_integral_law_matches_rho_families():
             a = integral_law(k, m, 0.5)
             b = rho_law(2, 2 * (k + 1), m)
             assert a.exponent == pytest.approx(b.exponent)
-            assert a.has_log == b.has_log
+            assert a.log_factor == b.log_factor
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +179,7 @@ def test_oracle_exponent_tracks_rho(d, m):
     vals = [(e, ns.singular_integral_oracle(k, m, p0, e)) for e in eps_grid]
     law = rho_law(kind, kk, m)
     fit = ns.fit_rate(vals, law)
-    slope = fit.corrected_slope if law.has_log else fit.slope
-    assert abs(slope - law.exponent) <= 0.05
+    assert abs(fit.law_slope - law.exponent) <= 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +229,18 @@ def test_predicted_rate_examples():
     assert ns.predicted_rate(2, ("power", 6.0)).exponent == pytest.approx(-1.0 / 3.0)
 
 
-def test_predicted_rate_accepts_profile():
-    p = ns.make_profile("flat", epsilon=1e-3, r0=0.3)
-    r = ns.predicted_rate(2, p)
-    assert r.regime == "flat-bounded"
-    assert r.geometry == ("flat", pytest.approx(0.6))
-    p0 = ns.make_profile("flat", epsilon=1e-3, r0=0.0)
-    r0 = ns.predicted_rate(2, p0)
-    assert r0.exponent == pytest.approx(-0.5)
-    assert r0.geometry == ("power", 2.0)
+def test_predicted_rate_flat_contact():
+    # flat contact of positive measure is bounded; with r0 = 0 the config
+    # hands the rate table order-2 point contact instead
+    flat = ns.ExperimentConfig(kind="flat", r0=0.3)
+    assert flat.geometry_for_rates() == ("flat", pytest.approx(0.6))
+    assert ns.predicted_rate(2, flat.geometry_for_rates()) == ScalingLaw(
+        0.0, 0, "flat-bounded")
+    point = ns.ExperimentConfig(kind="flat", r0=0.0)
+    assert point.geometry_for_rates() == ("power", 2.0)
+    assert ns.predicted_rate(2, point.geometry_for_rates()).exponent == pytest.approx(-0.5)
+    with pytest.raises(AsymptoticsError, match="flat-set measure must be > 0"):
+        ns.predicted_rate(2, ("flat", 0.0))
 
 
 def test_predicted_rate_regime_partition():

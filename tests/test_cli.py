@@ -93,6 +93,24 @@ def test_fit_subcommand_names_an_unknown_column(tmp_path):
         main(["fit", str(path), "--column", "nope"])
 
 
+def test_fit_subcommand_rejects_a_text_column(tmp_path):
+    # np.isfinite used to raise TypeError on the strings of the column
+    path = tmp_path / "sweep.csv"
+    rows = "".join(f"{e},ok,{1.0 / e}\n" for e in (1e-1, 1e-2, 1e-3, 1e-4))
+    path.write_text(f"# neckstress-v1\neps,status,max_grad_u\n{rows}")
+    with pytest.raises(HarnessError, match=f"^{re.escape(str(path))}: column 'status' is not numeric$"):
+        main(["fit", str(path), "--column", "status"])
+
+
+@pytest.mark.parametrize("flag", ["--dims", "--orders"])
+def test_oracle_subcommand_rejects_a_list_item_that_does_not_parse(flag, capsys):
+    # int()/float() used to end in a ValueError traceback
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", flag, "2,x"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected comma-separated" in capsys.readouterr().err
+
+
 def test_oracle_subcommand(tmp_path, capsys):
     out = tmp_path / "oracle.json"
     rc = main(["oracle", "--dims", "2", "--orders", "2,3", "--out", str(out)])

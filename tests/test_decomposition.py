@@ -147,7 +147,7 @@ def test_reconstructed_boundary_traces(power_cells, power_system):
 
 
 def test_sum_field_check(power_profile, power_cells):
-    region = ns.Region.neck(power_profile, 0.95)
+    region = ns.neck_region(power_profile, 0.95)
     sums = ns.sum_field_check(power_cells, region)
     v11_max, _ = ns.max_gradient(power_cells.v[(1, 1)], region)
     for al, (val, _) in sums.items():

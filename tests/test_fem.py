@@ -121,20 +121,21 @@ def test_gradient_at_matches_cell_scan(power_mesh, power_cells):
 
 def test_max_gradient_rigid(power_profile, power_solver):
     field = ns.interpolate(power_solver.space, ns.rigid_basis(2)[2])
-    val, _ = ns.max_gradient(field, ns.Region("all"))
+    val, _ = ns.max_gradient(field, lambda pts: np.ones(len(pts), dtype=bool))
     assert val == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
 
 def test_max_gradient_empty_region(power_profile, power_cells):
-    region = ns.Region.neck(power_profile, 1e-9)
+    region = ns.neck_region(power_profile, 1e-9)
     with pytest.raises(FemError):
         ns.max_gradient(power_cells.v3, region)
 
 
 def test_max_gradient_regions_partition(power_profile, power_cells):
     v11 = power_cells.v[(1, 1)]
-    neck_val, where = ns.max_gradient(v11, ns.Region.neck(power_profile, 0.95))
-    shell_val, _ = ns.max_gradient(v11, ns.Region("shell", power_profile, 0.95))
+    neck = ns.neck_region(power_profile, 0.95)
+    neck_val, where = ns.max_gradient(v11, neck)
+    shell_val, _ = ns.max_gradient(v11, lambda pts: ~neck(pts))
     assert neck_val > shell_val          # concentration lives in the neck
     assert abs(where[0]) < 0.1
 

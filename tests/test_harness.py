@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import neckstress as ns
+from neckstress.cli import main
 from neckstress.harness import (
     CSV_SCHEMA,
     HarnessError,
@@ -85,6 +86,12 @@ def test_config_eps_must_decrease():
 def test_config_unknown_phi():
     with pytest.raises(HarnessError):
         replace(ns.ExperimentConfig(), phi="bogus")
+    # a rigid index that is not an integer used to raise int()'s ValueError
+    for phi in ("rigid:x", "rigid:", "rigid:4"):
+        with pytest.raises(HarnessError, match=f"^boundary data selector {phi!r}: rigid index"):
+            replace(ns.ExperimentConfig(), phi=phi)
+    with pytest.raises(HarnessError, match="^boundary data selector 'rigid:x'"):
+        main(["sweep", "--phi", "rigid:x"])
 
 
 @pytest.mark.parametrize("frac", [math.nan, math.inf, 0.0, -1.0])
@@ -161,6 +168,15 @@ def test_read_csv_rejects_a_row_with_a_wrong_field_count(tmp_path):
         ns.read_csv(str(path))
 
 
+def test_read_csv_names_a_field_that_is_not_a_number(tmp_path):
+    # float() used to raise an untyped ValueError
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{CSV_SCHEMA}\neps,status,max_grad_u\n0.01,ok,2.5\nabc,ok,3.0\n")
+    with pytest.raises(HarnessError, match=f"^{re.escape(str(path))}:4: column 'eps': "
+                                           "not a number: 'abc'$"):
+        ns.read_csv(str(path))
+
+
 def test_read_csv_rejects_a_file_with_no_column_header(tmp_path):
     # the schema line alone used to raise IndexError
     path = tmp_path / "schema_only.csv"
@@ -178,21 +194,34 @@ def test_sweep_summary_fits(fast_rows):
     assert json.dumps(summary)   # serializable
 
 
-def test_compare_oracles_synthetic_pass():
+def _power_entry(m):
+    # the rho law of each diagonal a11 entry at order m, d = 2
+    return lambda eps, al: ns.rho(1, 1 if al <= 2 else 3, m, eps)
+
+
+@pytest.mark.parametrize("cfg, entry, log_labels", [
+    (replace(ns.ExperimentConfig(), kind="flat", r0=0.3),
+     lambda eps, al: ns.flat_entry_oracle(2, 0.6, eps, (al, al)), ()),
+    (replace(ns.ExperimentConfig(), m=2.0), _power_entry(2.0), ()),
+    # at m = 3 the rotation entry a11_33 scales like |log eps|
+    (replace(ns.ExperimentConfig(), m=3.0), _power_entry(3.0), ("33",)),
+], ids=["flat", "power-m2", "power-m3"])
+def test_compare_oracles_synthetic_pass(cfg, entry, log_labels):
     # rows whose a11 entries follow the oracle exactly must pass with ~0 dev
-    cfg = replace(ns.ExperimentConfig(), kind="flat", r0=0.3)
     rows = []
     for eps in cfg.eps_list:
         row = {"eps": eps, "status": "ok"}
         for lab, (al, be) in ns.harness.DIAG_ENTRIES.items():
-            row[f"a11_{lab}"] = ns.flat_entry_oracle(2, 0.6, eps, (al, be))
+            row[f"a11_{lab}"] = entry(eps, al)
         for lab in ("12", "13", "23"):
             row[f"a11_{lab}"] = 0.0
         rows.append(row)
     rep = ns.compare_oracles(cfg, rows)
     assert rep["pass"]
-    for entry in rep["entries"].values():
+    for lab, entry in rep["entries"].items():
         assert entry["deviation"] < 1e-6
+        assert entry["tolerance"] == (0.25 if lab in log_labels else 0.15)
+        assert (entry["measured_corrected"] is not None) == (lab in log_labels)
 
 
 def test_compare_oracles_needs_rows():
