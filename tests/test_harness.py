@@ -218,10 +218,10 @@ def test_compare_oracles_synthetic_pass(cfg, entry, log_labels):
         rows.append(row)
     rep = ns.compare_oracles(cfg, rows)
     assert rep["pass"]
-    for lab, entry in rep["entries"].items():
-        assert entry["deviation"] < 1e-6
-        assert entry["tolerance"] == (0.25 if lab in log_labels else 0.15)
-        assert (entry["measured_corrected"] is not None) == (lab in log_labels)
+    for lab, res in rep["entries"].items():
+        assert res["deviation"] < 1e-6
+        assert res["tolerance"] == (0.25 if lab in log_labels else 0.15)
+        assert (res["measured_corrected"] is not None) == (lab in log_labels)
 
 
 def test_compare_oracles_needs_rows():
