@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -107,7 +108,7 @@ def main(argv=None) -> int:
 
     if args.command == "mesh":
         config = _config_from_args(args)
-        mesh = build_mesh(config.profile_for(args.eps), config.grading())
+        mesh = build_mesh(config.profile_for(args.eps), config.grading)
         rep = mesh.grading_report
         print(f"mesh: {rep.n_nodes} nodes, {rep.n_cells} cells "
               f"({rep.n_neck_cells} in the neck), min quality {rep.min_quality:.3g}")
@@ -132,10 +133,8 @@ def main(argv=None) -> int:
 
     if args.command == "sweep":
         config = _config_from_args(args)
-        if args.out:
-            config = config_from_mapping({"out_csv": args.out}, config)
-        if args.out_json:
-            config = config_from_mapping({"out_json": args.out_json}, config)
+        config = replace(config, out_csv=args.out or config.out_csv,
+                         out_json=args.out_json or config.out_json)
         rows = run_sweep(config)
         summary = sweep_summary(config, rows)
         fit = summary.get("fits", {}).get("max_grad_u")
@@ -162,6 +161,9 @@ def main(argv=None) -> int:
         samples = [(r["eps"], r[args.column]) for r in rows
                    if r["status"] == "ok" and np.isfinite(r[args.column])
                    and r[args.column] > 0]
+        if args.exponent is not None and not math.isfinite(args.exponent):
+            # json.dumps would print it as NaN or Infinity, which is not JSON
+            raise HarnessError(f"--exponent must be finite, got {args.exponent!r}")
         law = None if args.exponent is None else asy.ScalingLaw(args.exponent)
         fit = fit_rate(samples, law)
         print(json.dumps(fit.as_dict(), indent=2))

@@ -47,7 +47,6 @@ class RigidMotion:
     """
 
     index: int
-    dim: int
     translation: int | None = None        # component index for e_i, 0-based
     rotation: tuple[int, int] | None = None  # (j, k) 0-based, j < k
 
@@ -69,11 +68,11 @@ def rigid_basis(dim: int) -> list[RigidMotion]:
     """The d(d+1)/2 rigid motions: d translations then rotations (j<k)."""
     if dim < 2:
         raise ElasticityError("rigid basis requires dim >= 2")
-    basis = [RigidMotion(index=i + 1, dim=dim, translation=i) for i in range(dim)]
+    basis = [RigidMotion(index=i + 1, translation=i) for i in range(dim)]
     idx = dim + 1
     for j in range(dim):
         for k in range(j + 1, dim):
-            basis.append(RigidMotion(index=idx, dim=dim, rotation=(j, k)))
+            basis.append(RigidMotion(index=idx, rotation=(j, k)))
             idx += 1
     return basis
 

@@ -98,19 +98,22 @@ class P2Space:
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
         cells = mesh.cells
+        n = mesh.n_nodes
         pairs = np.sort(np.concatenate([
             cells[:, [0, 1]], cells[:, [1, 2]], cells[:, [2, 0]]
         ]), axis=1)
-        uniq, inv = np.unique(pairs, axis=0, return_inverse=True)
-        inv = np.asarray(inv).reshape(-1)
+        # edge (a, b), a < b, has key a*n + b: sorting the keys sorts the
+        # edges lexicographically, as a row-wise unique of the pairs would
+        key, inv = np.unique(pairs[:, 0] * n + pairs[:, 1], return_inverse=True)
+        head, tail = np.divmod(key, n)
         m = cells.shape[0]
         self.cell_edges = np.stack(
             [inv[:m], inv[m:2 * m], inv[2 * m:]], axis=1)
-        self.n_vertex = mesh.n_nodes
-        self.n_edge = uniq.shape[0]
+        self.n_vertex = n
+        self.n_edge = key.shape[0]
         self.n_scalar = self.n_vertex + self.n_edge
         self.dof_coords = np.vstack([
-            mesh.nodes, 0.5 * (mesh.nodes[uniq[:, 0]] + mesh.nodes[uniq[:, 1]])
+            mesh.nodes, 0.5 * (mesh.nodes[head] + mesh.nodes[tail])
         ])
         # (m, 6): vertex dofs then midside dofs in local order 01, 12, 20
         self.cell_dofs = np.concatenate(
@@ -142,8 +145,6 @@ class P2Space:
         )
 
         # boundary scalar dofs per tag (vertices plus midside dofs)
-        key = uniq[:, 0] * mesh.n_nodes + uniq[:, 1]
-        order = np.argsort(key)
         self._tag_dofs: dict[int, np.ndarray] = {}
         for tag in (BoundaryTag.INCLUSION_TOP, BoundaryTag.INCLUSION_BOTTOM,
                     BoundaryTag.OUTER):
@@ -152,9 +153,9 @@ class P2Space:
                 self._tag_dofs[int(tag)] = np.array([], dtype=np.int64)
                 continue
             be = np.sort(sel, axis=1)
-            bkey = be[:, 0] * mesh.n_nodes + be[:, 1]
-            pos = order[np.searchsorted(key[order], bkey)]
-            if np.any(key[pos] != bkey):
+            bkey = be[:, 0] * n + be[:, 1]
+            pos = np.searchsorted(key, bkey)
+            if np.any(key[np.minimum(pos, key.size - 1)] != bkey):
                 raise FemError("boundary edge missing from mesh edge set")
             dofs = np.concatenate([sel.ravel(), self.n_vertex + pos])
             self._tag_dofs[int(tag)] = np.unique(dofs)

@@ -126,15 +126,6 @@ class NeckProfile:
     def bottom(self, x1):
         return self.h2(x1)
 
-    # -- derived quantities ----------------------------------------------------
-
-    @property
-    def flat_measure(self) -> float:
-        """Length 2*r0 of the flat contact set |x1| <= r0; 0 for Power."""
-        if self.kind is ProfileKind.POWER:
-            return 0.0
-        return 2.0 * self.r0
-
 
 def make_profile(
     kind,

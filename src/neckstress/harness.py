@@ -13,7 +13,8 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, asdict, field, replace
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -69,9 +70,10 @@ def default_eps_list(n: int = 8) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One two-dimensional experiment: geometry family, boundary data, mesh
-    and solver knobs, and the strictly decreasing list of gap widths to
-    sweep."""
+    """One two-dimensional experiment: geometry family, boundary data, the
+    mesh grading, the moduli, the solver tolerance, and the strictly
+    decreasing list of gap widths to sweep.  Every part is validated here,
+    so a bad experiment fails before anything is meshed."""
 
     kind: str = "power"            # "power" | "flat"
     m: float = 2.0
@@ -81,17 +83,9 @@ class ExperimentConfig:
     outer_radius: float = 5.0
     eps_list: tuple = field(default_factory=default_eps_list)
     phi: str = "affine-x2"
-    lam: float = 1.0
-    mu: float = 1.0
-    n_layers: int = 4
-    dx_min_frac: float = 0.2
-    dx_max_frac: float = 0.05
-    arc_frac: float = 0.06
-    n_radial: int = 10
-    radial_ratio: float = 1.4
-    max_cells: int = 200_000
-    budget_scale: float = 1.0
-    solver_tol: float = 1e-10
+    grading: GradingConfig = GradingConfig()
+    elastic: ElasticParams = ElasticParams(lam=1.0, mu=1.0)
+    solver: SolverConfig = SolverConfig()
     neck_measure_frac: float = 0.95
     out_csv: str | None = None
     out_json: str | None = None
@@ -99,6 +93,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_list)
+        if not eps:
+            raise HarnessError("eps_list must not be empty")
+        for e in eps:
+            if not (math.isfinite(e) and e > 0.0):
+                raise HarnessError(f"eps_list values must be finite and > 0, got {e!r}")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise HarnessError("eps_list must be strictly decreasing")
         object.__setattr__(self, "eps_list", eps)
@@ -106,6 +105,7 @@ class ExperimentConfig:
         frac = self.neck_measure_frac
         if not (math.isfinite(frac) and frac > 0.0):
             raise HarnessError(f"neck_measure_frac must be finite and > 0, got {frac!r}")
+        self.profile_for(eps[0])   # validates the geometry at every eps
 
     def profile_for(self, eps: float) -> NeckProfile:
         return make_profile(
@@ -114,21 +114,6 @@ class ExperimentConfig:
             r0=self.r0 if self.kind == "flat" else 0.0,
             r_neck=self.r_neck, outer_radius=self.outer_radius,
         )
-
-    def grading(self) -> GradingConfig:
-        return GradingConfig(
-            n_layers=self.n_layers,
-            dx_min_frac=self.dx_min_frac, dx_max_frac=self.dx_max_frac,
-            arc_frac=self.arc_frac, n_radial=self.n_radial,
-            radial_ratio=self.radial_ratio, max_cells=self.max_cells,
-            budget_scale=self.budget_scale,
-        )
-
-    def elastic(self) -> ElasticParams:
-        return ElasticParams(self.lam, self.mu)
-
-    def solver(self) -> SolverConfig:
-        return SolverConfig(tol=self.solver_tol)
 
     def geometry_for_rates(self) -> tuple:
         """("flat", flat-set measure) for flat contact with r0 > 0, else
@@ -208,11 +193,10 @@ def solve_point(config: ExperimentConfig, eps: float) -> SolvedPoint:
     the cell problems in one block solve, the coefficient system, and the
     reconstruction."""
     profile = config.profile_for(eps)
-    # validated before meshing, so a bad modulus or tol fails at once
-    params, solver = config.elastic(), config.solver()
-    mesh = build_mesh(profile, config.grading())
-    cells = solve_cell_problems(mesh, params, resolve_phi(config.phi), solver)
-    system = solve_coefficients(assemble_system(params, cells))
+    mesh = build_mesh(profile, config.grading)
+    cells = solve_cell_problems(mesh, config.elastic, resolve_phi(config.phi),
+                                config.solver)
+    system = solve_coefficients(assemble_system(config.elastic, cells))
     return SolvedPoint(profile, cells, system, reconstruct(cells, system))
 
 
@@ -403,8 +387,7 @@ def sweep_summary(config: ExperimentConfig, rows: list[dict]) -> dict:
     type of each failed point, and the config echo."""
     ok = [r for r in rows if r["status"] == "ok"]
     summary = {
-        "config": {k: (list(v) if isinstance(v, tuple) else v)
-                   for k, v in asdict(config).items()},
+        "config": asdict(config),
         "n_rows": len(rows),
         "n_failed": len(rows) - len(ok),
         # run_point records failures as "<exception type>: <text>"
@@ -571,8 +554,8 @@ def patch_energy_profile(point: SolvedPoint, z_list) -> list[tuple[float, float]
 
 def load_config_file(path: str) -> dict:
     """key = value lines; '#' starts a comment.  A key is a CLI flag name
-    or an ``ExperimentConfig`` field name, with '-' or '_'; values are
-    parsed like CLI arguments."""
+    or the name of the field it sets, on ``ExperimentConfig`` or one of its
+    parts, with '-' or '_'; values are parsed like CLI arguments."""
     out = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, 1):
@@ -586,36 +569,55 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-# CLI flag names (with '_' for '-') that differ from the field they set
+# CLI flag names (with '_' for '-') that differ from the field they set;
+# solver_tol is the solver tolerance's key from before it moved into
+# SolverConfig, so older config files still load
 _FLAG_FIELDS = {"profile": "kind", "mesh_budget": "max_cells",
-                "layers": "n_layers", "tol": "solver_tol"}
+                "layers": "n_layers", "solver_tol": "tol"}
 
-_CONFIG_FIELD_TYPES = {
-    "kind": str, "m": float, "r0": float, "kappa0": float,
-    "r_neck": float, "outer_radius": float, "phi": str, "lam": float,
-    "mu": float, "n_layers": int, "dx_min_frac": float,
-    "dx_max_frac": float, "arc_frac": float, "n_radial": int,
-    "radial_ratio": float, "max_cells": int, "budget_scale": float,
-    "solver_tol": float, "neck_measure_frac": float,
-    "out_csv": str, "out_json": str,
-}
+
+def _config_keys() -> dict:
+    """Each config key's owner (the ``ExperimentConfig`` field holding the
+    part that declares it, or None for its own fields) and type, read off
+    the dataclasses.  The field export path is set by ``solve`` only."""
+    keys = {}
+    hints = typing.get_type_hints(ExperimentConfig)
+    for f in fields(ExperimentConfig):
+        ftype = hints[f.name]
+        if is_dataclass(ftype):
+            part = typing.get_type_hints(ftype)
+            keys.update((g.name, (f.name, part[g.name])) for g in fields(ftype))
+        elif f.name != "out_field":
+            keys[f.name] = (None, ftype)
+    return keys
+
+
+_CONFIG_KEYS = _config_keys()
 
 
 def config_from_mapping(mapping: dict, base: ExperimentConfig | None = None) -> ExperimentConfig:
+    """``base`` (default: the defaults) with the keys of ``mapping`` set.  A
+    value that does not parse raises :class:`HarnessError` naming its key;
+    one that parses but is invalid raises the typed error of the class
+    that owns it, such as ``MeshingError`` for ``n_layers = 0``."""
     base = base or ExperimentConfig()
-    kwargs = {}
+    own, parts = {}, {}
     for key, raw in mapping.items():
         if raw is None:
             continue
-        field_name = _FLAG_FIELDS.get(key, key)
+        name = _FLAG_FIELDS.get(key, key)
+        if name not in _CONFIG_KEYS:
+            raise HarnessError(f"unknown config key {name!r}")
+        owner, ftype = _CONFIG_KEYS[name]
         try:
-            if field_name == "eps_list":
+            if ftype is tuple:   # eps_list: comma-separated on a config line
                 items = [s for s in raw.split(",") if s.strip()] if isinstance(raw, str) else raw
-                kwargs[field_name] = tuple(float(v) for v in items)
-            elif field_name in _CONFIG_FIELD_TYPES:
-                kwargs[field_name] = _CONFIG_FIELD_TYPES[field_name](raw)
+                value = tuple(float(v) for v in items)
             else:
-                raise HarnessError(f"unknown config key {field_name!r}")
+                value = ftype(raw) if ftype in (int, float) else str(raw)
         except (TypeError, ValueError) as exc:
             raise HarnessError(f"config key {key!r}: cannot parse {raw!r}") from exc
-    return replace(base, **kwargs)
+        (own if owner is None else parts.setdefault(owner, {}))[name] = value
+    for owner, values in parts.items():
+        own[owner] = replace(getattr(base, owner), **values)
+    return replace(base, **own)

@@ -15,6 +15,8 @@ import neckstress as ns
 from neckstress.cli import oracle_table
 from neckstress.meshing import BoundaryTag as BT
 
+from conftest import COARSE
+
 EPS8 = tuple(np.logspace(-1.5, -4.0, 8))
 
 
@@ -240,8 +242,7 @@ def test_criterion_10_determinism(tmp_path):
     cfg = replace(
         ns.ExperimentConfig(),
         eps_list=(1e-2, 3e-3, 1e-3, 3e-4),
-        dx_min_frac=0.5, dx_max_frac=0.12, arc_frac=0.15, n_radial=6,
-        radial_ratio=1.5,
+        grading=COARSE,
         out_csv=str(tmp_path / "a.csv"),
     )
     ns.run_sweep(cfg)

@@ -1,5 +1,6 @@
 import json
 import re
+from operator import attrgetter
 
 import pytest
 
@@ -63,6 +64,11 @@ def test_sweep_subcommand_with_config(tmp_path, capsys):
     summary = json.loads(json_path.read_text())
     assert summary["n_failed"] == 0
     assert "max_grad_u" in summary["fits"]
+    # the config echo nests the grading, moduli and solver blocks
+    assert summary["config"]["grading"]["dx_min_frac"] == 0.5
+    assert summary["config"]["elastic"] == {"lam": 1.0, "mu": 1.0}
+    assert summary["config"]["solver"] == {"tol": 1e-10}
+    assert summary["config"]["eps_list"] == [1e-2, 3e-3, 1e-3, 3e-4]
     out = capsys.readouterr().out
     assert "slope" in out
 
@@ -130,9 +136,9 @@ def test_cli_flag_overrides_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line,field,value", [
-    ("layers = 6", "n_layers", 6),
-    ("mesh-budget = 5000", "max_cells", 5000),
-    ("tol = 1e-12", "solver_tol", 1e-12),
+    ("layers = 6", "grading.n_layers", 6),
+    ("mesh-budget = 5000", "grading.max_cells", 5000),
+    ("tol = 1e-12", "solver.tol", 1e-12),
 ], ids=["layers", "mesh-budget", "tol"])
 def test_config_file_takes_the_flag_name(tmp_path, monkeypatch, line, field, value):
     """A config-file key spelled like its flag sets the same field as the
@@ -144,7 +150,7 @@ def test_config_file_takes_the_flag_name(tmp_path, monkeypatch, line, field, val
     assert main(["sweep", "--config", str(cfg)]) == 0
     flag, raw = (s.strip() for s in line.split("="))
     assert main(["sweep", f"--{flag}", raw]) == 0
-    assert [getattr(c, field) for c in seen] == [value, value]
+    assert [attrgetter(field)(c) for c in seen] == [value, value]
 
 
 def test_flag_overrides_a_config_key_of_either_name(tmp_path, monkeypatch):
@@ -154,7 +160,7 @@ def test_flag_overrides_a_config_key_of_either_name(tmp_path, monkeypatch):
     for text in ("layers = 6\n", "n_layers = 6\n", "layers = 5\nn_layers = 6\n"):
         cfg.write_text(text)
         assert main(["sweep", "--config", str(cfg), "--layers", "3"]) == 0
-    assert [c.n_layers for c in seen] == [3, 3, 3]
+    assert [c.grading.n_layers for c in seen] == [3, 3, 3]
 
 
 def test_dim_is_not_a_config_key(tmp_path):
@@ -178,6 +184,16 @@ def test_mesh_subcommand_rejects_radial_ratio_below_one(tmp_path):
     cfg.write_text("radial_ratio = 0.5\n")
     with pytest.raises(MeshingError, match="radial_ratio"):
         main(["mesh", "--config", str(cfg), "--eps", "1e-2"])
+
+
+@pytest.mark.parametrize("exponent", ["nan", "inf", "-inf"])
+def test_fit_subcommand_rejects_an_exponent_that_is_not_finite(tmp_path, exponent):
+    # json.dumps used to print it as NaN or Infinity, which is not JSON
+    path = tmp_path / "sweep.csv"
+    rows = "".join(f"{e},ok,{1.0 / e}\n" for e in (1e-1, 1e-2, 1e-3, 1e-4))
+    path.write_text(f"# neckstress-v1\neps,status,max_grad_u\n{rows}")
+    with pytest.raises(HarnessError, match=f"^--exponent must be finite, got {exponent}$"):
+        main(["fit", str(path), f"--exponent={exponent}"])
 
 
 def test_oracle_table_structure():

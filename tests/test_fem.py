@@ -512,3 +512,21 @@ def test_stiffness_equals_three_einsum_formula(power_mesh, lam, mu):
     assert np.array_equal(got.indptr, oracle.indptr)
     assert np.array_equal(got.indices, oracle.indices)
     assert np.array_equal(got.data, oracle.data)
+
+
+@pytest.mark.parametrize("mesh_name", ["power_mesh", "flat_mesh"])
+def test_edge_numbering_is_the_row_wise_unique_of_the_cell_edges(request, mesh_name):
+    """Edges numbered by their integer keys come in the order, and with the
+    cell-to-edge map, of a row-wise unique of the sorted endpoint pairs."""
+    mesh = request.getfixturevalue(mesh_name)
+    cells = mesh.cells
+    pairs = np.sort(np.concatenate([cells[:, [0, 1]], cells[:, [1, 2]], cells[:, [2, 0]]]),
+                    axis=1)
+    uniq, inv = np.unique(pairs, axis=0, return_inverse=True)
+    inv = inv.reshape(-1)
+    m = cells.shape[0]
+    space = ns.P2Space(mesh)
+    assert space.n_edge == uniq.shape[0]
+    assert np.array_equal(space.cell_edges, np.stack([inv[:m], inv[m:2 * m], inv[2 * m:]], axis=1))
+    midpoints = 0.5 * (mesh.nodes[uniq[:, 0]] + mesh.nodes[uniq[:, 1]])
+    assert np.array_equal(space.dof_coords[mesh.n_nodes:], midpoints)

@@ -111,9 +111,3 @@ def test_power_separation_strict():
     p = ns.make_profile("power", epsilon=5e-3, m=6.0)
     xs = np.linspace(-2.0, 2.0, 101)
     assert np.all(p.epsilon + p.h1(xs) > p.h2(xs))
-
-
-def test_flat_measure():
-    p2 = ns.make_profile("flat", epsilon=1e-2, r0=0.3)
-    assert p2.flat_measure == 2 * 0.3
-    assert ns.make_profile("power", epsilon=1e-2, m=2.0).flat_measure == 0.0

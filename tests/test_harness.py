@@ -11,6 +11,9 @@ import pytest
 
 import neckstress as ns
 from neckstress.cli import main
+from neckstress.elasticity import ElasticityError
+from neckstress.fem import FemError
+from neckstress.geometry import GeometryError
 from neckstress.harness import (
     CSV_SCHEMA,
     HarnessError,
@@ -18,13 +21,15 @@ from neckstress.harness import (
     dumps_csv,
     load_config_file,
 )
+from neckstress.meshing import MeshingError
+
+from conftest import COARSE
 
 # a deliberately coarse, fast configuration for harness plumbing tests
 FAST = replace(
     ns.ExperimentConfig(),
     eps_list=(1e-2, 3e-3, 1e-3, 3e-4),
-    dx_min_frac=0.5, dx_max_frac=0.12, arc_frac=0.15, n_radial=6,
-    radial_ratio=1.5,
+    grading=COARSE,
 )
 
 
@@ -94,6 +99,21 @@ def test_config_unknown_phi():
         main(["sweep", "--phi", "rigid:x"])
 
 
+@pytest.mark.parametrize("eps_list, message", [
+    ((), "^eps_list must not be empty$"),
+    ((1e-2, math.nan), "^eps_list values must be finite and > 0, got nan$"),
+    ((math.nan,), "^eps_list values must be finite and > 0, got nan$"),
+    ((math.inf, 1e-2), "^eps_list values must be finite and > 0, got inf$"),
+    ((1e-2, 0.0), "^eps_list values must be finite and > 0, got 0.0$"),
+    ((1e-2, -1e-3), "^eps_list values must be finite and > 0, got -0.001$"),
+], ids=["empty", "nan-last", "nan-only", "inf", "zero", "negative"])
+def test_config_rejects_eps_that_is_not_finite_and_positive(eps_list, message):
+    # a NaN used to pass the strictly-decreasing check, since every
+    # comparison with it is false, and fail only at its own point
+    with pytest.raises(HarnessError, match=message):
+        replace(ns.ExperimentConfig(), eps_list=eps_list)
+
+
 @pytest.mark.parametrize("frac", [math.nan, math.inf, 0.0, -1.0])
 def test_config_rejects_a_neck_measure_frac_that_is_not_finite_and_positive(frac):
     # such a fraction used to mesh and solve every point in full, then
@@ -124,7 +144,7 @@ def test_run_sweep_rows(fast_rows):
 
 
 def test_failures_recorded_in_row(caplog):
-    bad = replace(FAST, eps_list=(1e-2, 1e-3), max_cells=300)
+    bad = replace(FAST, eps_list=(1e-2, 1e-3), grading=replace(COARSE, max_cells=300))
     with caplog.at_level("ERROR", logger="neckstress.harness"):
         rows = ns.run_sweep(bad)
     assert len(rows) == 2
@@ -137,7 +157,8 @@ def test_failures_recorded_in_row(caplog):
 
 def test_failures_listed_in_json_summary(tmp_path, fast_rows):
     out = tmp_path / "sweep.json"
-    bad = replace(FAST, eps_list=(1e-2, 1e-3), max_cells=300, out_json=str(out))
+    bad = replace(FAST, eps_list=(1e-2, 1e-3), grading=replace(COARSE, max_cells=300),
+                  out_json=str(out))
     rows = ns.run_sweep(bad)
     summary = json.loads(out.read_text(encoding="utf-8"))
     assert summary["n_failed"] == 2
@@ -245,7 +266,7 @@ def test_config_file_load_and_override(tmp_path):
     assert cfg.r0 == 0.25
     assert cfg.eps_list == (1e-2, 1e-3, 1e-4, 1e-5)
     assert cfg.phi == "affine-x2x2"
-    assert cfg.max_cells == 50000
+    assert cfg.grading.max_cells == 50000
     # explicit overrides win
     cfg2 = config_from_mapping({"r0": 0.1}, cfg)
     assert cfg2.r0 == 0.1 and cfg2.kind == "flat"
@@ -267,6 +288,49 @@ def test_config_rejects_removed_and_output_only_keys(mapping):
     # field export path is set by the solve subcommand only
     with pytest.raises(HarnessError, match="unknown config key"):
         config_from_mapping(mapping)
+
+
+@pytest.mark.parametrize("key, raw, build, error, message", [
+    ("layers", "0", lambda: ns.GradingConfig(n_layers=0),
+     MeshingError, "^n_layers must be >= 1"),
+    ("lam", "nan", lambda: ns.ElasticParams(math.nan, 1.0),
+     ElasticityError, "^lam must be finite, got nan"),
+    ("tol", "0", lambda: ns.SolverConfig(tol=0.0),
+     FemError, "^tol must be finite and > 0, got 0.0"),
+    ("m", "1", lambda: ns.ExperimentConfig(m=1.0),
+     GeometryError, "^order m must satisfy m >= 2, got 1.0"),
+    ("profile", "bogus", lambda: ns.ExperimentConfig(kind="bogus"),
+     GeometryError, "^unknown profile kind 'bogus'"),
+    ("eps_list", "1e-2, nan", lambda: ns.ExperimentConfig(eps_list=(1e-2, math.nan)),
+     HarnessError, "^eps_list values must be finite and > 0, got nan"),
+], ids=["layers", "lam", "tol", "m", "profile", "eps_list"])
+def test_invalid_value_fails_at_construction(monkeypatch, tmp_path, key, raw, build,
+                                             error, message):
+    """Each invalid value raises the typed error of the class that owns it,
+    naming the field, once, where the config is built: through the classes,
+    a mapping, a config file or a flag, and before any mesh is built."""
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("meshed an experiment whose config is invalid")
+
+    monkeypatch.setattr(ns.harness, "build_mesh", no_mesh)
+    monkeypatch.setattr(ns.cli, "build_mesh", no_mesh)
+    with pytest.raises(error, match=message):
+        build()
+    with pytest.raises(error, match=message):
+        config_from_mapping({key: raw})
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {raw}\n")
+    for command in ("mesh", "solve", "sweep"):
+        with pytest.raises(error, match=message):
+            main([command, "--config", str(cfg)])
+    if key in ("layers", "tol", "m", "eps_list"):   # the keys that are flags too
+        with pytest.raises(error, match=message):
+            main(["sweep", f"--{key.replace('_', '-')}", raw.replace(" ", "")])
+
+
+def test_solver_tol_key_sets_the_solver_tolerance():
+    # the key the tolerance had as an ExperimentConfig field still loads
+    assert config_from_mapping({"solver_tol": "1e-12"}).solver.tol == 1e-12
 
 
 def test_dumps_csv_deterministic(fast_rows):
@@ -328,7 +392,7 @@ def test_gram_diagonals_approach_analytic_constants():
     import math
     base = math.pi / math.sqrt(1e-4)
     for lam, mu in ((1.0, 1.0), (2.0, 0.5)):
-        cfg = replace(ns.ExperimentConfig(), lam=lam, mu=mu)
+        cfg = replace(ns.ExperimentConfig(), elastic=ns.ElasticParams(lam, mu))
         row = ns.run_point(cfg, 1e-4)
         assert row["status"] == "ok"
         assert abs(row["a11_11"] / (mu * base) - 1.0) < 0.06
@@ -382,15 +446,16 @@ def test_point_frees_its_mesh_without_the_cycle_collector(monkeypatch):
 
 
 def test_point_with_a_bad_tol_fails_before_meshing(monkeypatch):
-    """A point whose solver tolerance cannot be met is an error row, typed
-    and named, and no mesh is built for it."""
+    """A solver tolerance that cannot be met fails where the config is
+    built, typed and named, and no mesh is built for it."""
     def no_mesh(*args, **kwargs):
         raise AssertionError("meshed a point whose tolerance is invalid")
 
     monkeypatch.setattr(ns.harness, "build_mesh", no_mesh)
-    row = ns.run_point(replace(FAST, solver_tol=0.0), FAST.eps_list[0])
-    assert row["status"] == "error"
-    assert row["message"].startswith("FemError: tol must be finite and > 0")
+    with pytest.raises(FemError, match="^tol must be finite and > 0"):
+        replace(FAST, solver=ns.SolverConfig(tol=0.0))
+    with pytest.raises(FemError, match="^tol must be finite and > 0"):
+        main(["solve", "--tol", "0"])
 
 
 def test_patch_energies_reuse_the_solved_point(monkeypatch):
