@@ -186,6 +186,8 @@ def oracle_table(dims, orders, eps_lo: float = 1e-6, eps_hi: float = 1e-2,
                  n_eps: int = 9, tol: float = 0.05) -> dict:
     """Fitted oracle exponents against the rho laws for every integrand pair
     behind the Gram-entry scaling laws; log branches use the corrected fit."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise HarnessError(f"--tol must be finite and > 0, got {tol!r}")
     eps_grid = np.logspace(np.log10(eps_hi), np.log10(eps_lo), n_eps)
     lines = []
     n_pass = 0

@@ -13,10 +13,10 @@ the inclusion boundaries.  That condition is the symmetric linear system
 
 whose Gram matrix and loads are formed here as V^T (K V) over the seven
 fields, with K V taken from the blocks of the stiffness K that the cell
-problems' solver holds.  Volume energy quadrature of each
-unordered pair they need (27 per point: seven cached strain evaluations plus
-the pairwise sums) cross-checks them; the harness cross-checks the loads once
-more against their boundary-traction form.
+problems' solver holds.  Volume energy quadrature of all seven fields at
+once (one stacked gradient evaluation and one contraction) cross-checks
+them; the harness cross-checks the loads once more against their
+boundary-traction form.
 """
 
 from __future__ import annotations
@@ -109,20 +109,17 @@ def assemble_system(params: ElasticParams, cells: CellSolutions) -> CoefficientS
 
     V holds the seven fields (v1[.], v2[.], v3) as columns; K V comes from
     the stiffness blocks of the cells' solver (``stiffness_product``), and
-    the product is symmetrized.  Each unordered pair that enters the Gram
-    block or the loads (27 of them) is also integrated once by volume energy
-    quadrature, which reads the strains and not K; a gap above 1e-8 relative
-    in either part indicates a discretization fault and raises.
+    the product is symmetrized.  One ``energy_integral`` call forms the same
+    matrix by volume energy quadrature, which reads the fields' gradients
+    and not K; a gap above 1e-8 relative in the Gram block or the loads
+    indicates a discretization fault and raises.
     """
     n = cells.n_alpha
     fields = [cells.v[(i, al)] for i in (1, 2) for al in range(1, n + 1)] + [cells.v3]
     v = np.column_stack([f.vec() for f in fields])
     g = v.T @ cells.solver.stiffness_product(v)
     g = 0.5 * (g + g.T)
-    quad = np.zeros_like(g)
-    for a, fa in enumerate(fields[:-1]):    # v3 with itself enters neither part
-        for b in range(a, len(fields)):
-            quad[a, b] = quad[b, a] = energy_integral(params, fa, fields[b])
+    quad = energy_integral(params, fields)
     defect = 0.0
     for what, part in (("Gram", np.s_[:-1, :-1]), ("load", np.s_[-1, :-1])):
         scale = max(float(np.abs(g[part]).max()), 1e-300)
@@ -176,9 +173,8 @@ def sum_field_check(cells: CellSolutions, region) -> dict:
 
     The sums stay O(1) as the gap closes even though each summand blows up;
     a sweep-level fit with exponent above ~0.15 flags a violation."""
-    out = {}
-    for al in range(1, cells.n_alpha + 1):
-        s = cells.v[(1, al)] + cells.v[(2, al)]
-        val, where = max_gradient(s, region)
-        out[al] = (val, where)
-    return out
+    space = cells.v3.space
+    sums = [DisplacementField(space, cells.v[(1, al)].values + cells.v[(2, al)].values,
+                              f"v1^{al}+v2^{al}")
+            for al in range(1, cells.n_alpha + 1)]
+    return dict(enumerate(max_gradient(sums, region), start=1))

@@ -17,6 +17,10 @@ mesh and space are freed by reference counting as soon as the point is done.
 The weak form is int_Omega lam*div(u)*div(v) + 2*mu*e(u):e(v); with the
 degree-2 quadrature rule below it is integrated exactly on affine cells.
 
+Every gradient measurement goes through one kernel, ``_grads_at``, which
+takes a stack of fields: ``energy_integral`` and ``max_gradient`` measure a
+list of fields in one evaluation.
+
 scipy's sparse stack (``sp``, ``spla``) is imported at the first assembly,
 or the first time ``sp`` or ``spla`` is read off this module, so importing
 the package, meshing and mesh I/O need numpy only.
@@ -26,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -223,19 +226,9 @@ class SolverConfig:
             raise FemError(f"tol must be finite and > 0, got {self.tol!r}")
 
 
-def _strain(space: P2Space, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric gradient e(u) at the quadrature points, (m, q, 2, 2), and
-    its trace, (m, q)."""
-    g = np.einsum("mai,mqaj->mqij", values[space.cell_dofs], space.grad_q)
-    e = 0.5 * (g + g.swapaxes(2, 3))
-    return e, e[:, :, 0, 0] + e[:, :, 1, 1]
-
-
 @dataclass(frozen=True)
 class DisplacementField:
-    """Vector P2 field: per-scalar-dof displacement.  Immutable: attributes
-    cannot be rebound and ``values`` must not be written in place, which is
-    what lets ``strain`` be computed on first use and cached."""
+    """Vector P2 field: per-scalar-dof displacement."""
 
     space: P2Space
     values: np.ndarray          # (n_scalar, 2)
@@ -245,21 +238,8 @@ class DisplacementField:
         if not np.all(np.isfinite(self.values)):
             raise FemError(f"field {self.name!r} contains non-finite values")
 
-    @cached_property
-    def strain(self) -> tuple[np.ndarray, np.ndarray]:
-        """(e(u), tr e(u)) at the quadrature points, computed once; read-only."""
-        e, tr = _strain(self.space, self.values)
-        e.flags.writeable = tr.flags.writeable = False
-        return e, tr
-
     def vec(self) -> np.ndarray:
         return self.values.reshape(-1)
-
-    def __add__(self, other):
-        if other.space is not self.space:
-            raise FemError("fields live on different meshes")
-        return DisplacementField(self.space, self.values + other.values,
-                                 f"{self.name}+{other.name}")
 
 
 def _evaluate_bc(bc_spec, points: np.ndarray) -> np.ndarray:
@@ -425,14 +405,27 @@ def interpolate(space: P2Space, fn, name: str = "interp") -> DisplacementField:
     return DisplacementField(space, vals, name)
 
 
-def _grads_at(space: P2Space, values: np.ndarray, cells: np.ndarray,
-              bary: np.ndarray) -> np.ndarray:
-    """Gradients d u_i / d x_j of a P2 field on given cells at reference
-    points; returns (len(cells), len(bary), 2, 2)."""
-    ghat = _ref_grads(bary)
-    gphys = np.einsum("mij,qaj->mqai", space.inv_jt[cells], ghat)
-    local = values[space.cell_dofs[cells]]         # (m, 6, 2)
-    return np.einsum("mai,mqaj->mqij", local, gphys)
+def _grads_at(space: P2Space, values: np.ndarray, cells: np.ndarray | None = None,
+              bary: np.ndarray | None = None) -> np.ndarray:
+    """Gradients d u_i / d x_j of P2 fields, ``values`` (n_scalar, 2) or a
+    stack of them (k, n_scalar, 2).  Returns (..., len(cells), len(bary), 2,
+    2) on ``cells`` at the reference points ``bary``, or (..., n_cells, q, 2,
+    2) on every cell at the quadrature points when ``cells`` is None."""
+    if cells is None:
+        gphys = space.grad_q
+        local = values[..., space.cell_dofs, :]
+    else:
+        gphys = np.einsum("mij,qaj->mqai", space.inv_jt[cells], _ref_grads(bary))
+        local = values[..., space.cell_dofs[cells], :]
+    return np.einsum("...mai,mqaj->...mqij", local, gphys)
+
+
+def _stacked(fields) -> tuple[P2Space, np.ndarray]:
+    """The one space of ``fields`` and their values, (k, n_scalar, 2)."""
+    space = fields[0].space
+    if any(f.space is not space for f in fields):
+        raise FemError("fields live on different meshes")
+    return space, np.stack([f.values for f in fields])
 
 
 def gradient_at(field: DisplacementField, point) -> np.ndarray:
@@ -454,47 +447,53 @@ def gradient_at(field: DisplacementField, point) -> np.ndarray:
     return g[0, 0]
 
 
-def max_gradient(field: DisplacementField, region) -> tuple[float, np.ndarray]:
-    """Max Frobenius norm of the gradient over sample points of the cells
-    whose centroids ``region(points)`` holds true.
+def max_gradient(fields, region) -> list[tuple[float, np.ndarray]]:
+    """Max Frobenius norm of each field's gradient over sample points of the
+    cells whose centroids ``region(points)`` holds true: one ``(value,
+    where)`` per field, in order.
 
     Samples are the cell vertices and edge midpoints (P2 gradients are linear
     per cell, so vertices carry the per-cell extrema); the reported location
     is the best sample, not a continuous optimizer.
     """
-    space = field.space
+    space, values = _stacked(fields)
     cells = np.nonzero(region(space.mesh.cell_centroids()))[0]
     if cells.size == 0:
         raise FemError("empty measurement region")
-    g = _grads_at(space, field.values, cells, _SAMPLE_BARY)
-    fro = np.sqrt(np.sum(g * g, axis=(2, 3)))       # (m, 6)
-    flat = int(np.argmax(fro))
-    ci, qi = divmod(flat, _SAMPLE_BARY.shape[0])
-    value = float(fro[ci, qi])
-    cell = cells[ci]
-    v = space.mesh.nodes[space.mesh.cells[cell]]
-    b = _SAMPLE_BARY[qi]
-    where = v[0] * (1.0 - b[0] - b[1]) + v[1] * b[0] + v[2] * b[1]
-    return value, where
+    g = _grads_at(space, values, cells, _SAMPLE_BARY)
+    fro = np.sqrt(np.sum(g * g, axis=(-2, -1)))     # (k, m, 6)
+    out = []
+    for f in fro:
+        ci, qi = divmod(int(np.argmax(f)), _SAMPLE_BARY.shape[0])
+        v = space.mesh.nodes[space.mesh.cells[cells[ci]]]
+        b = _SAMPLE_BARY[qi]
+        where = v[0] * (1.0 - b[0] - b[1]) + v[1] * b[0] + v[2] * b[1]
+        out.append((float(f[ci, qi]), where))
+    return out
 
 
-def energy_integral(params: ElasticParams, fa: DisplacementField,
-                    fb: DisplacementField) -> float:
-    """int (C e(fa), e(fb)) over the whole shell."""
-    if fa.space is not fb.space:
-        raise FemError("fields live on different meshes")
-    space = fa.space
-    ea, tra = fa.strain
-    eb, trb = fb.strain
-    dens = params.lam * tra * trb + 2.0 * params.mu * np.sum(ea * eb, axis=(2, 3))
-    return float(np.sum(space.wdet * dens))
+def energy_integral(params: ElasticParams, fields) -> np.ndarray:
+    """The k x k matrix of int (C e(f_a), e(f_b)) over the whole shell, from
+    one stacked gradient evaluation of the k fields.
+
+    The density is lam tr e_a tr e_b + 2 mu e_a : e_b at each quadrature
+    point; the weights scale one side of each product and the moduli
+    multiply the sums, since lam may be negative."""
+    space, values = _stacked(fields)
+    g = _grads_at(space, values)                    # (k, m, q, 2, 2)
+    e = 0.5 * (g + g.swapaxes(-1, -2))
+    tr = e[..., 0, 0] + e[..., 1, 1]
+    k, w = len(fields), space.wdet
+    div = (tr * w).reshape(k, -1) @ tr.reshape(k, -1).T
+    inner = (e * w[..., None, None]).reshape(k, -1) @ e.reshape(k, -1).T
+    return params.lam * div + 2.0 * params.mu * inner
 
 
 def gradient_sq_integral(field: DisplacementField, region) -> float:
     """int |grad u|^2 (Frobenius) over the quadrature points where
     ``region(points)`` is true; used for patch energies."""
     space = field.space
-    g = np.einsum("mai,mqaj->mqij", field.values[space.cell_dofs], space.grad_q)
+    g = _grads_at(space, field.values)
     dens = np.sum(g * g, axis=(2, 3))
     mask = region(space.quad_xy.reshape(-1, 2)).reshape(space.wdet.shape)
     return float(np.sum(space.wdet * mask * dens))

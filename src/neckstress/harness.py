@@ -204,7 +204,7 @@ def _measure_point(config: ExperimentConfig, eps: float, row: dict):
     point = solve_point(config, eps)
     profile, cells, system, u = point.profile, point.cells, point.system, point.u
     region = neck_region(profile, config.neck_measure_frac * profile.r_neck)
-    gmax, where = max_gradient(u, region)
+    (gmax, where), (row["maxgrad_v11"], _) = max_gradient([u, cells.v[(1, 1)]], region)
     row["n_dofs"] = 2 * u.space.n_scalar
     row["n_cells"] = u.space.mesh.n_cells
     row["max_grad_u"] = gmax
@@ -231,7 +231,6 @@ def _measure_point(config: ExperimentConfig, eps: float, row: dict):
     sums = sum_field_check(cells, region)
     for al, (val, _) in sums.items():
         row[f"sumgrad_{al}"] = val
-    row["maxgrad_v11"], _ = max_gradient(cells.v[(1, 1)], region)
     row["solver_iters"] = cells.report.iterations
     row["solver_method"] = cells.report.method
     if config.out_field:

@@ -127,6 +127,15 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert report["n_pass"] == report["n_cases"]
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_oracle_subcommand_rejects_a_bad_tol(tmp_path, tol):
+    # NaN used to reach the --out JSON as "tolerance": NaN, failing every case
+    out = tmp_path / "oracle.json"
+    with pytest.raises(HarnessError, match=f"^--tol must be finite and > 0, got {float(tol)!r}$"):
+        main(["oracle", "--dims", "2", "--orders", "2", "--tol", tol, "--out", str(out)])
+    assert not out.exists()
+
+
 def test_cli_flag_overrides_config(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("profile = flat\nr0 = 0.3\n")

@@ -43,34 +43,35 @@ def test_gram_symmetry_and_spd(power_system):
     assert s.gram_defect < 1e-8
 
 
-def test_assemble_system_computes_each_strain_once(params, power_cells, power_system,
-                                                   monkeypatch):
-    cells = replace(power_cells, v={k: replace(f) for k, f in power_cells.v.items()},
-                    v3=replace(power_cells.v3))
-    fields = list(cells.v.values()) + [cells.v3]
-    seen, pairs = [], []
-    strain = ns.fem._strain
+def test_assemble_system_makes_one_energy_integral_call(params, power_cells, power_system,
+                                                       monkeypatch):
+    fields = [power_cells.v[(i, al)] for i in (1, 2) for al in (1, 2, 3)] + [power_cells.v3]
+    calls = []
     energy = ns.decomposition.energy_integral
 
-    def counting(space, values):
-        seen.append(id(values))
-        return strain(space, values)
+    def counting_energy(params_, fields_):
+        calls.append([id(f) for f in fields_])
+        return energy(params_, fields_)
 
-    def counting_energy(params_, fa, fb):
-        pairs.append(frozenset((id(fa), id(fb))))
-        return energy(params_, fa, fb)
-
-    monkeypatch.setattr(ns.fem, "_strain", counting)
     monkeypatch.setattr(ns.decomposition, "energy_integral", counting_energy)
-    system = ns.assemble_system(params, cells)
-    assert sorted(seen) == sorted(id(f.values) for f in fields)
-    # each unordered pair once, except v3 with itself: 21 Gram + 6 load pairs
-    assert len(pairs) == len(set(pairs)) == 27
-    assert frozenset((id(cells.v3),)) not in pairs
+    system = ns.assemble_system(params, power_cells)
+    assert calls == [[id(f) for f in fields]]
     for name in ("gram", "load", "gram_defect"):
         assert np.array_equal(getattr(system, name), getattr(power_system, name))
-    ns.assemble_system(params, cells)
-    assert len(seen) == len(fields)
+
+
+@pytest.mark.parametrize("lam", [1.0, -0.5])
+def test_energy_integral_matches_stiffness_gram(power_mesh, power_cells, lam):
+    """The quadrature matrix of the seven cell fields is the symmetrized
+    V^T (K V) to rounding, also for an admissible negative lam."""
+    params_ = ns.ElasticParams(lam, 1.0)
+    solver = power_cells.solver if lam == 1.0 else ns.DirichletSolver(power_mesh, params_)
+    fields = [power_cells.v[(i, al)] for i in (1, 2) for al in (1, 2, 3)] + [power_cells.v3]
+    v = np.column_stack([f.vec() for f in fields])
+    g = v.T @ solver.stiffness_product(v)
+    g = 0.5 * (g + g.T)
+    quad = ns.energy_integral(params_, fields)
+    assert np.abs(quad - g).max() <= 1e-12 * np.abs(g).max()
 
 
 def test_residuals(power_system):
@@ -149,7 +150,7 @@ def test_reconstructed_boundary_traces(power_cells, power_system):
 def test_sum_field_check(power_profile, power_cells):
     region = ns.neck_region(power_profile, 0.95)
     sums = ns.sum_field_check(power_cells, region)
-    v11_max, _ = ns.max_gradient(power_cells.v[(1, 1)], region)
+    [(v11_max, _)] = ns.max_gradient([power_cells.v[(1, 1)]], region)
     for al, (val, _) in sums.items():
         assert val < 0.2 * v11_max   # the sums are far below the single fields
 
@@ -169,14 +170,10 @@ def test_frame_consistency_translation_block(power_profile, params):
         cells = {}
         ds = ns.DirichletSolver(m, params_)
         basis = ns.rigid_basis(2)
-        out = np.empty((2, 2))
         fields, _ = ds.solve({f"v1^{al}": {BT.INCLUSION_TOP: basis[al],
                                            BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0}
                               for al in range(2)})
-        for a in range(2):
-            for b in range(2):
-                out[a, b] = ns.energy_integral(params_, fields[a], fields[b])
-        return out
+        return ns.energy_integral(params_, fields)
 
     blk0 = trans_block(mesh)
     blk1 = trans_block(shifted)
@@ -186,18 +183,17 @@ def test_frame_consistency_translation_block(power_profile, params):
 @pytest.mark.parametrize("route", ["strain", "stiffness"])
 def test_gram_cross_check_catches_a_perturbed_strain(params, power_cells, monkeypatch,
                                                       route):
-    # the quadrature reads only the strains and V^T K V reads only K (the
-    # solver's blocks of it), so a fault of 1e-6 in either route must raise
-    cells = replace(power_cells, v={k: replace(f) for k, f in power_cells.v.items()},
-                    v3=replace(power_cells.v3))
+    # the quadrature reads only the fields' gradients and V^T K V reads only
+    # K (the solver's blocks of it), so a fault of 1e-6 in either route must
+    # raise
+    cells = power_cells
     if route == "strain":
-        strain = ns.fem._strain
+        grads = ns.fem._grads_at
 
-        def perturbed(space, values):
-            e, tr = strain(space, values)
-            return e * (1.0 + 1e-6), tr
+        def perturbed(space, values, cells=None, bary=None):
+            return grads(space, values, cells, bary) * (1.0 + 1e-6)
 
-        monkeypatch.setattr(ns.fem, "_strain", perturbed)
+        monkeypatch.setattr(ns.fem, "_grads_at", perturbed)
     else:
         stiffness = ns.P2Space.stiffness
         monkeypatch.setattr(ns.P2Space, "stiffness",

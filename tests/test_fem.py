@@ -121,29 +121,31 @@ def test_gradient_at_matches_cell_scan(power_mesh, power_cells):
 
 def test_max_gradient_rigid(power_profile, power_solver):
     field = ns.interpolate(power_solver.space, ns.rigid_basis(2)[2])
-    val, _ = ns.max_gradient(field, lambda pts: np.ones(len(pts), dtype=bool))
+    [(val, _)] = ns.max_gradient([field], lambda pts: np.ones(len(pts), dtype=bool))
     assert val == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
 
 def test_max_gradient_empty_region(power_profile, power_cells):
     region = ns.neck_region(power_profile, 1e-9)
     with pytest.raises(FemError):
-        ns.max_gradient(power_cells.v3, region)
+        ns.max_gradient([power_cells.v3], region)
 
 
 def test_max_gradient_regions_partition(power_profile, power_cells):
     v11 = power_cells.v[(1, 1)]
     neck = ns.neck_region(power_profile, 0.95)
-    neck_val, where = ns.max_gradient(v11, neck)
-    shell_val, _ = ns.max_gradient(v11, lambda pts: ~neck(pts))
+    [(neck_val, where)] = ns.max_gradient([v11], neck)
+    [(shell_val, _)] = ns.max_gradient([v11], lambda pts: ~neck(pts))
     assert neck_val > shell_val          # concentration lives in the neck
     assert abs(where[0]) < 0.1
+    # a field measured in a stack reads exactly as measured alone
+    (val, at), _ = ns.max_gradient([v11, power_cells.v3], neck)
+    assert val == neck_val and np.array_equal(at, where)
 
 
 def test_energy_integral_rigid_orthogonal(params, power_cells):
     rigid = ns.interpolate(power_cells.solver.space, ns.rigid_basis(2)[2])
-    val = ns.energy_integral(params, power_cells.v[(1, 1)], rigid)
-    scale = ns.energy_integral(params, power_cells.v[(1, 1)], power_cells.v[(1, 1)])
+    (scale, val), _ = ns.energy_integral(params, [power_cells.v[(1, 1)], rigid])
     assert abs(val) < 1e-8 * scale
     assert scale > 0.0
 
@@ -153,7 +155,7 @@ def test_energy_integral_mesh_mismatch(power_mesh, params, power_profile):
     fa = ns.interpolate(ns.P2Space(power_mesh), np.array([1.0, 0.0]))
     fb = ns.interpolate(ns.P2Space(other), np.array([1.0, 0.0]))
     with pytest.raises(FemError):
-        ns.energy_integral(params, fa, fb)
+        ns.energy_integral(params, [fa, fb])
 
 
 def test_traction_moment_of_rigid_field(power_solver):
@@ -257,7 +259,7 @@ def test_h_convergence_under_refinement(power_profile, params):
         ds = ns.DirichletSolver(mesh, params)
         (v11,), _ = ds.solve({"v1^1": {BT.INCLUSION_TOP: ns.rigid_basis(2)[0],
                                        BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0}})
-        energies.append(ns.energy_integral(params, v11, v11))
+        energies.append(ns.energy_integral(params, [v11])[0, 0])
         mesh = _red_split(mesh)
     e0, e1, e2 = energies
     # monotone and contracting
@@ -293,8 +295,7 @@ def test_energy_minimality_vs_explicit_competitor(power_profile, params,
     comp_vals = np.where(inside[:, None], (1.0 - t) * neckfield + t * u.values,
                          u.values)
     competitor = ns.DisplacementField(space, comp_vals, "competitor")
-    e_u = ns.energy_integral(params, u, u)
-    e_c = ns.energy_integral(params, competitor, competitor)
+    (e_u, _), (_, e_c) = ns.energy_integral(params, [u, competitor])
     assert e_u <= e_c * (1.0 + 1e-10)
 
 
@@ -446,7 +447,7 @@ def test_energy_integral_closed_form_linear_field(power_mesh):
     e = 0.5 * (a + a.T)
     density = params.lam * np.trace(e) ** 2 + 2.0 * params.mu * np.sum(e * e)
     area = float(np.sum(power_mesh.signed_areas()))
-    got = ns.energy_integral(params, field, field)
+    [[got]] = ns.energy_integral(params, [field])
     assert got == pytest.approx(density * area, rel=1e-12)
 
 
@@ -473,18 +474,6 @@ def test_traction_moment_closed_form_constant_stress(power_mesh, power_profile):
 
     got = ns.boundary_traction_moment(solver, field, BT.OUTER, lambda pts: pts)
     assert got == pytest.approx(np.trace(sigma) * polygon_area, rel=1e-12)
-
-
-def test_energy_integral_cached_strain_matches_cold(params, power_cells):
-    """Every ordered pair of cell fields integrates to exactly the same value
-    from warm strain caches as from fresh copies of the fields."""
-    fields = [power_cells.v[k] for k in sorted(power_cells.v)] + [power_cells.v3]
-    for f in fields:
-        f.strain                # warm every cache before the pairs
-    for fa in fields:
-        for fb in fields:
-            warm = ns.energy_integral(params, fa, fb)
-            assert warm == ns.energy_integral(params, replace(fa), replace(fb))
 
 
 @pytest.mark.parametrize("lam,mu", [(1.0, 1.0), (2.7, 0.6)])
