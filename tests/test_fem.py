@@ -335,9 +335,8 @@ def test_field_export_matches_per_line_writer(tmp_path, power_cells):
 def test_solve_report_fields(power_solver):
     (f,), rep = power_solver.solve({"v1^1": {BT.INCLUSION_TOP: ns.rigid_basis(2)[0],
                                              BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0}})
-    assert rep.iterations > 0
+    assert (rep.method, rep.iterations) == ("direct", 0)
     assert rep.rel_residual <= 1e-10
-    assert rep.method in ("pcg", "pcg->direct")
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
@@ -380,7 +379,13 @@ def _cg_oracle(solver, fields):
     return out
 
 
-def test_block_pcg_equals_one_cg_per_column(power_mesh, params):
+def _pcg_only(monkeypatch):
+    """Send every system, however small, to the block PCG branch."""
+    monkeypatch.setattr(ns.fem, "_DIRECT_MAX_FREE_DOFS", 0)
+
+
+def test_block_pcg_equals_one_cg_per_column(power_mesh, params, monkeypatch):
+    _pcg_only(monkeypatch)
     solver = ns.DirichletSolver(power_mesh, params)
     fields, rep = solver.solve(_cell_bcs(ns.resolve_phi("shear-twist")))
     oracle = _cg_oracle(solver, fields)
@@ -404,6 +409,7 @@ def test_block_pcg_applies_ilu_once_per_iteration(power_mesh, params, monkeypatc
 
     monkeypatch.setattr(ns.fem.spla, "spilu",
                         lambda *a, **kw: CountingIlu(spilu(*a, **kw)))
+    _pcg_only(monkeypatch)
     solver = ns.DirichletSolver(power_mesh, params)
     bcs = _cell_bcs(ns.resolve_phi("affine-x2"))
     _, rep = solver.solve(bcs)
@@ -429,14 +435,56 @@ def test_pcg_give_up_falls_back_to_direct(power_mesh, params, monkeypatch):
            for psi in ns.rigid_basis(2)}
     expected, _ = ns.DirichletSolver(power_mesh, params).solve(bcs)
 
+    factor, factored = ns.fem._factor, []
+
+    def counting_factor(a_ff):
+        factored.append(a_ff.shape)
+        return factor(a_ff)
+
+    _pcg_only(monkeypatch)
     monkeypatch.setattr(ns.fem, "_PCG_MAXITER", 1)
+    monkeypatch.setattr(ns.fem, "_factor", counting_factor)
     got, rep = ns.DirichletSolver(power_mesh, params).solve(bcs)
     assert rep.method == "pcg->direct"
+    assert len(factored) == 1       # the fallback factors through _factor
     assert rep.iterations == 1
     assert rep.rel_residual <= 1e-10
     for f, e in zip(got, expected):
         scale = np.abs(e.values).max()
         assert np.abs(f.values - e.values).max() <= 1e-8 * scale
+
+
+def test_direct_fields_equal_the_block_pcg_fields(power_mesh, params, monkeypatch):
+    bcs = _cell_bcs(ns.resolve_phi("shear-twist"))
+    direct, rep = ns.DirichletSolver(power_mesh, params).solve(bcs)
+    assert (rep.method, rep.iterations) == ("direct", 0)
+    assert rep.rel_residual <= 1e-12
+    _pcg_only(monkeypatch)
+    pcg, rep = ns.DirichletSolver(power_mesh, params).solve(bcs)
+    assert rep.method == "pcg"
+    for d, p in zip(direct, pcg):
+        assert np.abs(d.values - p.values).max() <= 1e-9 * np.abs(p.values).max()
+
+
+def test_nearly_incompressible_factor_keeps_its_fill(power_mesh, monkeypatch):
+    """K_ff is SPD, so the LU needs no pivoting.  Threshold pivoting at lam
+    >> mu leaves the fill-reducing order: on this mesh it made a lam = 1000
+    factor about ten times as full as the lam = 1 one (and on a default
+    sweep point took minutes instead of under a second)."""
+    splu, nnz = ns.fem.spla.splu, []
+
+    def recording_splu(*args, **kwargs):
+        lu = splu(*args, **kwargs)
+        nnz.append(lu.nnz)
+        return lu
+
+    monkeypatch.setattr(ns.fem.spla, "splu", recording_splu)
+    bcs = _cell_bcs(ns.resolve_phi("affine-x2"))
+    for lam in (1.0, 1000.0):
+        _, rep = ns.DirichletSolver(power_mesh, ns.ElasticParams(lam, 1.0)).solve(bcs)
+        assert rep.method == "direct"
+    assert len(nnz) == 2
+    assert nnz[1] <= 1.1 * nnz[0]
 
 
 def test_energy_integral_closed_form_linear_field(power_mesh):

@@ -400,19 +400,34 @@ def test_gram_diagonals_approach_analytic_constants():
 
 
 @pytest.mark.parametrize("phi, maxiter, method", [
+    ("affine-x2", None, "direct"),      # every system at this size
     ("zero", None, "pcg"),              # v3 alone would be "trivial"
     ("affine-x2", 1, "pcg->direct"),    # every column gives up after 1 iteration
 ])
 def test_solver_columns_report_the_block_solve(monkeypatch, phi, maxiter, method):
+    if method != "direct":
+        monkeypatch.setattr(ns.fem, "_DIRECT_MAX_FREE_DOFS", 0)
     if maxiter is not None:
         monkeypatch.setattr(ns.fem, "_PCG_MAXITER", maxiter)
     row = ns.run_point(replace(FAST, phi=phi), FAST.eps_list[0])
     assert row["status"] == "ok"
     assert row["solver_method"] == method
-    if maxiter is not None:
+    if method == "direct":
+        assert row["solver_iters"] == 0
+    elif maxiter is not None:
         assert row["solver_iters"] == maxiter
     else:
         assert row["solver_iters"] > 0
+
+
+@pytest.mark.parametrize("lam", [1000.0, -0.5])
+def test_extreme_moduli_points_solve_directly(lam):
+    """Nearly incompressible (lam/mu = 1000, where block PCG needed 16-24
+    iterations per point) and auxetic (lam = -mu/2) points."""
+    config = replace(FAST, elastic=ns.ElasticParams(lam, 1.0))
+    report = ns.solve_point(config, FAST.eps_list[-1]).cells.report
+    assert (report.method, report.iterations) == ("direct", 0)
+    assert report.rel_residual <= 1e-12
 
 
 def test_point_frees_its_mesh_without_the_cycle_collector(monkeypatch):
@@ -460,21 +475,24 @@ def test_point_with_a_bad_tol_fails_before_meshing(monkeypatch):
 
 def test_patch_energies_reuse_the_solved_point(monkeypatch):
     """solve_point and then patch_energy_profile build one P2 space and make
-    one incomplete-LU factorization between them: the patch energies read
-    the point's own v1^1 instead of solving again."""
+    one factorization between them: the patch energies read the point's own
+    v1^1 instead of solving again."""
     inits, factors = [], []
-    init, spilu = ns.P2Space.__init__, ns.fem.spla.spilu
+    init = ns.P2Space.__init__
 
     def counting_init(self, mesh):
         inits.append(mesh.n_cells)
         init(self, mesh)
 
-    def counting_spilu(*args, **kwargs):
-        factors.append(1)
-        return spilu(*args, **kwargs)
+    def counting(factor):
+        def wrapper(*args, **kwargs):
+            factors.append(1)
+            return factor(*args, **kwargs)
+        return wrapper
 
     monkeypatch.setattr(ns.P2Space, "__init__", counting_init)
-    monkeypatch.setattr(ns.fem.spla, "spilu", counting_spilu)
+    for name in ("splu", "spilu"):
+        monkeypatch.setattr(ns.fem.spla, name, counting(getattr(ns.fem.spla, name)))
     point = ns.solve_point(FAST, FAST.eps_list[0])
     pairs = ns.patch_energy_profile(point, (0.1, 0.2))
     assert len(inits) == 1 and len(factors) == 1
@@ -496,9 +514,9 @@ def _reachable_ids(root) -> set:
 
 def test_point_holds_its_stiffness_once(monkeypatch):
     """A point assembles K once and the solver keeps only blocks of it: the
-    assembled matrix is freed before the incomplete LU is computed, and no
-    factor is reachable from the solved cell problems afterwards."""
-    stiffness, spilu = ns.P2Space.stiffness, ns.fem.spla.spilu
+    assembled matrix is freed before the LU is computed, and no factor is
+    reachable from the solved cell problems afterwards."""
+    stiffness = ns.P2Space.stiffness
     solve_cells = ns.harness.solve_cell_problems
     assembled, alive_at_factor, factors, solved = [], [], [], []
 
@@ -507,17 +525,20 @@ def test_point_holds_its_stiffness_once(monkeypatch):
         assembled.append(weakref.ref(k))
         return k
 
-    def recording_spilu(*args, **kwargs):
-        alive_at_factor.append([ref() is not None for ref in assembled])
-        factors.append(spilu(*args, **kwargs))
-        return factors[-1]
+    def recording(factor):
+        def wrapper(*args, **kwargs):
+            alive_at_factor.append([ref() is not None for ref in assembled])
+            factors.append(factor(*args, **kwargs))
+            return factors[-1]
+        return wrapper
 
     def recording_solve_cells(*args, **kwargs):
         solved.append(solve_cells(*args, **kwargs))
         return solved[-1]
 
     monkeypatch.setattr(ns.P2Space, "stiffness", recording_stiffness)
-    monkeypatch.setattr(ns.fem.spla, "spilu", recording_spilu)
+    for name in ("splu", "spilu"):
+        monkeypatch.setattr(ns.fem.spla, name, recording(getattr(ns.fem.spla, name)))
     monkeypatch.setattr(ns.harness, "solve_cell_problems", recording_solve_cells)
     row = ns.run_point(FAST, FAST.eps_list[0])
     assert row["status"] == "ok"
