@@ -3,6 +3,7 @@ rigid inclusions separated by a thin neck."""
 
 from .asymptotics import (
     ScalingLaw,
+    entry_case,
     flat_entry_oracle,
     integral_law,
     gram_integral_cases,

@@ -274,16 +274,25 @@ def predicted_rate(d: int, geometry) -> ScalingLaw:
     return ScalingLaw(-d / m, 0, "m>d+1")
 
 
-def gram_integral_cases(d: int) -> list[tuple[int, float, int, int]]:
-    """The (k, p) integrand pairs behind the Gram-entry scaling laws, as
-    (k, p, rho_kind, rho_k) rows: translation/rotation diagonals give the
-    p = 1 family, the off-diagonal boundary terms the p = 1/2 family."""
+def entry_case(d: int, al: int, be: int) -> tuple[int, float, int, int]:
+    """The one statement of the Gram-entry families: the row (k, p,
+    rho_kind, rho_k) of the entry (al, be) in dimension d, which scales like
+    int_0^R r^k / (eps + kappa0 r^m)^p dr.  Indices above d are rotations,
+    each raising k by one; diagonals give rho1(k + 1, m), off-diagonals
+    rho2(2(k + 1), m), as :func:`integral_law` pairs them."""
     if d < 2:
         raise AsymptoticsError("d >= 2 required")
-    return [
-        (d - 2, 1.0, 1, d - 1),
-        (d, 1.0, 1, d + 1),
-        (d - 2, 0.5, 2, 2 * (d - 1)),
-        (d - 1, 0.5, 2, 2 * d),
-        (d, 0.5, 2, 2 * (d + 1)),
-    ]
+    if min(al, be) < 1:
+        raise AsymptoticsError(f"entry ({al}, {be}) needs indices >= 1")
+    k = d - 2 + (al > d) + (be > d)
+    if al == be:
+        return (k, 1.0, 1, k + 1)
+    return (k, 0.5, 2, 2 * (k + 1))
+
+
+def gram_integral_cases(d: int) -> list[tuple[int, float, int, int]]:
+    """The five :func:`entry_case` rows: translation and rotation diagonals,
+    then off-diagonals with 0, 1 and 2 rotation indices (listed in d = 2
+    too, which has one rotation, so the oracle checks every row)."""
+    return [entry_case(d, al, be)
+            for al, be in ((1, 1), (d + 1, d + 1), (1, 2), (1, d + 1), (d + 1, d + 2))]

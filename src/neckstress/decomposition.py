@@ -104,22 +104,23 @@ class CoefficientSystem:
         return self.load[:self.n_alpha]
 
 
-def assemble_system(params: ElasticParams, cells: CellSolutions) -> CoefficientSystem:
+def assemble_system(cells: CellSolutions) -> CoefficientSystem:
     """Form the Gram matrix a_ij and loads b_j as ``V^T (K V)``.
 
     V holds the seven fields (v1[.], v2[.], v3) as columns; K V comes from
     the stiffness blocks of the cells' solver (``stiffness_product``), and
     the product is symmetrized.  One ``energy_integral`` call forms the same
     matrix by volume energy quadrature, which reads the fields' gradients
-    and not K; a gap above 1e-8 relative in the Gram block or the loads
-    indicates a discretization fault and raises.
+    and not K, with the moduli of the solver that formed K; a gap above
+    1e-8 relative in the Gram block or the loads indicates a discretization
+    fault and raises.
     """
     n = cells.n_alpha
     fields = [cells.v[(i, al)] for i in (1, 2) for al in range(1, n + 1)] + [cells.v3]
     v = np.column_stack([f.vec() for f in fields])
     g = v.T @ cells.solver.stiffness_product(v)
     g = 0.5 * (g + g.T)
-    quad = energy_integral(params, fields)
+    quad = energy_integral(cells.solver.params, fields)
     defect = 0.0
     for what, part in (("Gram", np.s_[:-1, :-1]), ("load", np.s_[-1, :-1])):
         scale = max(float(np.abs(g[part]).max()), 1e-300)

@@ -150,7 +150,6 @@ class P2Space:
         j12 = p[:, 2, 0] - p[:, 0, 0]
         j22 = p[:, 2, 1] - p[:, 0, 1]
         det = j11 * j22 - j12 * j21
-        self.det = det
         self.inv_jt = np.empty((m, 2, 2))
         self.inv_jt[:, 0, 0] = j22 / det
         self.inv_jt[:, 0, 1] = -j21 / det
@@ -533,9 +532,10 @@ def gradient_sq_integral(field: DisplacementField, region) -> float:
 
 
 def boundary_traction_moment(solver: DirichletSolver, field: DisplacementField,
-                             tag, motion) -> float:
-    """Traction moment int_tag (C e(u)) n . psi in the variationally
-    consistent (residual-pairing) form.
+                             tag, motions) -> list[float]:
+    """Traction moments int_tag (C e(u)) n . psi, one per motion psi of the
+    sequence ``motions``, in the variationally consistent (residual-pairing)
+    form.  The residual K u is formed once for all of them.
 
     The normal n points out of the region the tagged curve encloses: out of
     the inclusion for inclusion boundaries, out of the domain for the outer
@@ -550,11 +550,13 @@ def boundary_traction_moment(solver: DirichletSolver, field: DisplacementField,
         raise FemError("field and solver live on different meshes")
     dofs = space.tag_scalar_dofs(tag)       # raises on unknown tag
     r = solver.stiffness_product(field.vec())
-    psi = _evaluate_bc(motion, space.dof_coords[dofs])
-    val = float(np.sum(psi[:, 0] * r[2 * dofs]) + np.sum(psi[:, 1] * r[2 * dofs + 1]))
-    if int(tag) == int(BoundaryTag.OUTER):
-        return val
-    return -val
+    rx, ry = r[2 * dofs], r[2 * dofs + 1]
+    sign = 1.0 if int(tag) == int(BoundaryTag.OUTER) else -1.0
+    out = []
+    for motion in motions:
+        psi = _evaluate_bc(motion, space.dof_coords[dofs])
+        out.append(sign * float(np.sum(psi[:, 0] * rx) + np.sum(psi[:, 1] * ry)))
+    return out
 
 
 def export_field(field: DisplacementField, path: str):

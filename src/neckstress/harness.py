@@ -64,8 +64,13 @@ class HarnessError(RuntimeError):
     pass
 
 
-def default_eps_list(n: int = 8) -> tuple[float, ...]:
-    return tuple(np.logspace(-1.5, -4.0, n))
+def default_eps_list() -> tuple[float, ...]:
+    return tuple(np.logspace(-1.5, -4.0, 8))
+
+
+# gradients are measured in the neck strip |x1| < NECK_MEASURE_FRAC r_neck,
+# which stops short of the closure-arc junction at |x1| = r_neck
+NECK_MEASURE_FRAC = 0.95
 
 
 @dataclass(frozen=True)
@@ -73,7 +78,8 @@ class ExperimentConfig:
     """One two-dimensional experiment: geometry family, boundary data, the
     mesh grading, the moduli, the solver tolerance, and the strictly
     decreasing list of gap widths to sweep.  Every part is validated here,
-    so a bad experiment fails before anything is meshed."""
+    so a bad experiment fails before anything is meshed.  The measurement
+    strip is :data:`NECK_MEASURE_FRAC`, a constant."""
 
     kind: str = "power"            # "power" | "flat"
     m: float = 2.0
@@ -86,7 +92,6 @@ class ExperimentConfig:
     grading: GradingConfig = GradingConfig()
     elastic: ElasticParams = ElasticParams(lam=1.0, mu=1.0)
     solver: SolverConfig = SolverConfig()
-    neck_measure_frac: float = 0.95
     out_csv: str | None = None
     out_json: str | None = None
     out_field: str | None = None
@@ -102,9 +107,6 @@ class ExperimentConfig:
             raise HarnessError("eps_list must be strictly decreasing")
         object.__setattr__(self, "eps_list", eps)
         resolve_phi(self.phi)   # validates the selector
-        frac = self.neck_measure_frac
-        if not (math.isfinite(frac) and frac > 0.0):
-            raise HarnessError(f"neck_measure_frac must be finite and > 0, got {frac!r}")
         self.profile_for(eps[0])   # validates the geometry at every eps
 
     def profile_for(self, eps: float) -> NeckProfile:
@@ -127,8 +129,6 @@ class ExperimentConfig:
 def resolve_phi(selector: str):
     """Boundary-data selector to callable: 'affine-x2' is (x2, 0),
     'affine-x2x2' is (x2, x2), 'rigid:<a>' the a-th rigid motion, 'zero'."""
-    if callable(selector):
-        return selector
     if selector == "zero":
         return lambda pts: np.zeros_like(pts)
     if selector == "affine-x2":
@@ -196,14 +196,14 @@ def solve_point(config: ExperimentConfig, eps: float) -> SolvedPoint:
     mesh = build_mesh(profile, config.grading)
     cells = solve_cell_problems(mesh, config.elastic, resolve_phi(config.phi),
                                 config.solver)
-    system = solve_coefficients(assemble_system(config.elastic, cells))
+    system = solve_coefficients(assemble_system(cells))
     return SolvedPoint(profile, cells, system, reconstruct(cells, system))
 
 
 def _measure_point(config: ExperimentConfig, eps: float, row: dict):
     point = solve_point(config, eps)
     profile, cells, system, u = point.profile, point.cells, point.system, point.u
-    region = neck_region(profile, config.neck_measure_frac * profile.r_neck)
+    region = neck_region(profile, NECK_MEASURE_FRAC * profile.r_neck)
     (gmax, where), (row["maxgrad_v11"], _) = max_gradient([u, cells.v[(1, 1)]], region)
     row["n_dofs"] = 2 * u.space.n_scalar
     row["n_cells"] = u.space.mesh.n_cells
@@ -221,10 +221,8 @@ def _measure_point(config: ExperimentConfig, eps: float, row: dict):
     row["p_residual"] = system.residual_p
     row["asym_defect"] = system.gram_defect
 
-    b_tr = np.array([
-        boundary_traction_moment(cells.solver, cells.v3, BoundaryTag.INCLUSION_TOP, psi)
-        for psi in cells.basis
-    ])
+    b_tr = np.array(boundary_traction_moment(
+        cells.solver, cells.v3, BoundaryTag.INCLUSION_TOP, cells.basis))
     row["b_agree_rel"] = float(
         np.linalg.norm(b_tr - system.b1) / max(np.linalg.norm(system.b1), 1e-300))
 
@@ -415,18 +413,6 @@ DIAG_ENTRIES = {"11": (1, 1), "22": (2, 2), "33": (3, 3)}
 OFFDIAG_ENTRIES = {"12": (1, 2), "13": (1, 3), "23": (2, 3)}
 
 
-def _entry_rho_kind_k(d: int, al: int, be: int) -> tuple[int, int]:
-    """Scaling family (rho kind, k) of the a11 entry for order-m geometry."""
-    trans_a, trans_b = al <= d, be <= d
-    if al == be:
-        return (1, d - 1) if trans_a else (1, d + 1)
-    if trans_a and trans_b:
-        return (2, 2 * (d - 1))
-    if trans_a or trans_b:
-        return (2, 2 * d)
-    return (2, 2 * (d + 1))
-
-
 def _entry_envelope(geometry, al: int, be: int):
     """The rho law of the a11 entry (al, be) (None under flat contact) and
     the analytic terms whose nonnegative combination bounds it.  A diagonal
@@ -440,7 +426,7 @@ def _entry_envelope(geometry, al: int, be: int):
         if al <= 2:
             return None, [lambda e: value / e, lambda e: e ** -0.5, lambda e: 1.0]
         return None, [lambda e: value ** 3 / e, lambda e: 1.0]
-    rho_kind, k = _entry_rho_kind_k(2, al, be)
+    _, _, rho_kind, k = asy.entry_case(2, al, be)
     law = asy.rho_law(rho_kind, k, value)
     if al != be:
         return law, [lambda e: asy.rho(rho_kind, k, value, e)]

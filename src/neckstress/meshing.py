@@ -25,6 +25,7 @@ midside dofs of the outer region with no mirror partner (ROADMAP item 8).
 from __future__ import annotations
 
 import enum
+import functools
 import io
 import logging
 import math
@@ -136,7 +137,6 @@ class Mesh:
     cells: np.ndarray
     edges: np.ndarray
     edge_tags: np.ndarray
-    grading_report: GradingReport
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -156,6 +156,21 @@ class Mesh:
 
     def signed_areas(self) -> np.ndarray:
         return _signed_areas(*_corners(self.nodes, self.cells))
+
+    @functools.cached_property
+    def grading_report(self) -> GradingReport:
+        """From the arrays and ``meta``, so a loaded mesh reports what the
+        built one did; neck widths an older file lacks read 0."""
+        meta = self.meta
+        return GradingReport(
+            n_nodes=self.n_nodes,
+            n_cells=self.n_cells,
+            n_neck_cells=int(meta.get("n_neck_cells", 0)),
+            min_layers=int(meta.get("n_layers", 0)),
+            min_quality=float(triangle_quality(self.nodes, self.cells).min()),
+            dx_min=float(meta.get("dx_min", 0.0)),
+            dx_max=float(meta.get("dx_max", 0.0)),
+        )
 
 
 def _corners(nodes: np.ndarray, cells: np.ndarray):
@@ -295,8 +310,9 @@ def build_mesh(profile: NeckProfile, config: GradingConfig | None = None) -> Mes
     """Triangulate the shell for a 2-d profile.
 
     Raises :class:`MeshingError` when the grading cannot be met within
-    ``config.max_cells`` or when the generated blob boundary fails the
-    star-shapedness check.
+    ``config.max_cells``, when the generated blob boundary fails the
+    star-shapedness check, or when :func:`validate_mesh` finds a degenerate
+    or inverted cell.
     """
     if config is None:
         config = GradingConfig()
@@ -398,25 +414,7 @@ def build_mesh(profile: NeckProfile, config: GradingConfig | None = None) -> Mes
     edges = np.vstack([e for e, _ in chains])
     tags = np.concatenate([np.full(len(e), tag, dtype=np.int8) for e, tag in chains])
 
-    # --- validation and report -------------------------------------------------
-    areas = _signed_areas(*_corners(all_nodes, all_cells))
-    if np.any(areas <= 0.0):
-        i = int(np.argmin(areas))
-        c = all_nodes[all_cells[i]].mean(axis=0)
-        raise MeshingError(
-            f"degenerate or inverted cell near ({c[0]:.4g}, {c[1]:.4g})"
-        )
-
     dx = np.diff(xs)
-    report = GradingReport(
-        n_nodes=all_nodes.shape[0],
-        n_cells=all_cells.shape[0],
-        n_neck_cells=neck_cells.shape[0],
-        min_layers=layers,
-        min_quality=float(triangle_quality(all_nodes, all_cells).min()),
-        dx_min=float(dx.min()),
-        dx_max=float(dx.max()),
-    )
     c_top, rad = closure_arc(profile)
     meta = {
         "x_cut": profile.r_neck,
@@ -431,9 +429,12 @@ def build_mesh(profile: NeckProfile, config: GradingConfig | None = None) -> Mes
         "r0": profile.r0,
         "r_neck": profile.r_neck,
         "outer_radius": profile.outer_radius,
+        "dx_min": float(dx.min()),
+        "dx_max": float(dx.max()),
     }
-    mesh = Mesh(all_nodes, all_cells, edges, tags, report, meta)
+    mesh = Mesh(all_nodes, all_cells, edges, tags, meta)
     validate_mesh(mesh)
+    report = mesh.grading_report
     logger.debug(
         "mesh: %d nodes, %d cells (%d neck), min quality %.3g",
         report.n_nodes, report.n_cells, report.n_neck_cells, report.min_quality,
@@ -442,9 +443,12 @@ def build_mesh(profile: NeckProfile, config: GradingConfig | None = None) -> Mes
 
 
 def validate_mesh(mesh: Mesh):
-    """Structural invariants: orientation, tag integrity, closed tag curves."""
-    if np.any(mesh.signed_areas() <= 0.0):
-        raise MeshingError("mesh contains non-positively-oriented cells")
+    """Structural invariants: orientation (the one check of built and
+    loaded meshes, naming the worst cell), tag integrity, closed tag curves."""
+    areas = mesh.signed_areas()
+    if np.any(areas <= 0.0):
+        c = mesh.nodes[mesh.cells[int(np.argmin(areas))]].mean(axis=0)
+        raise MeshingError(f"degenerate or inverted cell near ({c[0]:.4g}, {c[1]:.4g})")
     if mesh.edges.shape[0] != mesh.edge_tags.shape[0]:
         raise MeshingError("boundary edge/tag count mismatch")
     if np.any(mesh.edge_tags <= 0):
@@ -568,13 +572,6 @@ def load_mesh(path: str) -> Mesh:
         except ValueError:
             raise MeshingError(f"{path}: bad row in 'meta' block: {r!r}") from None
 
-    report = GradingReport(
-        n_nodes=nodes.shape[0],
-        n_cells=cells.shape[0],
-        n_neck_cells=int(meta.get("n_neck_cells", 0)),
-        min_layers=int(meta.get("n_layers", 0)),
-        min_quality=float(triangle_quality(nodes, cells).min()),
-    )
-    mesh = Mesh(nodes, cells, edges, tags, report, meta)
+    mesh = Mesh(nodes, cells, edges, tags, meta)
     validate_mesh(mesh)
     return mesh

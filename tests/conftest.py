@@ -47,7 +47,7 @@ def power_cells(power_mesh, params):
 
 @pytest.fixture(scope="session")
 def power_system(power_cells, params):
-    return ns.solve_coefficients(ns.assemble_system(params, power_cells))
+    return ns.solve_coefficients(ns.assemble_system(power_cells))
 
 
 def rng(seed=0):

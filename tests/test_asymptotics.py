@@ -289,6 +289,51 @@ def test_gram_integral_cases_cover_both_families():
     assert (3, 0.5, 2, 8) in cases
 
 
+# the (rho_kind, rho_k) family of every a11 entry, row al and column be,
+# written out for d = 2, 3, 4
+_ENTRY_FAMILIES = {
+    2: ["1/1 2/2 2/4",
+        "2/2 1/1 2/4",
+        "2/4 2/4 1/3"],
+    3: ["1/2 2/4 2/4 2/6 2/6 2/6",
+        "2/4 1/2 2/4 2/6 2/6 2/6",
+        "2/4 2/4 1/2 2/6 2/6 2/6",
+        "2/6 2/6 2/6 1/4 2/8 2/8",
+        "2/6 2/6 2/6 2/8 1/4 2/8",
+        "2/6 2/6 2/6 2/8 2/8 1/4"],
+    4: ["1/3 2/6 2/6 2/6 2/8 2/8 2/8 2/8 2/8 2/8",
+        "2/6 1/3 2/6 2/6 2/8 2/8 2/8 2/8 2/8 2/8",
+        "2/6 2/6 1/3 2/6 2/8 2/8 2/8 2/8 2/8 2/8",
+        "2/6 2/6 2/6 1/3 2/8 2/8 2/8 2/8 2/8 2/8",
+        "2/8 2/8 2/8 2/8 1/5 2/10 2/10 2/10 2/10 2/10",
+        "2/8 2/8 2/8 2/8 2/10 1/5 2/10 2/10 2/10 2/10",
+        "2/8 2/8 2/8 2/8 2/10 2/10 1/5 2/10 2/10 2/10",
+        "2/8 2/8 2/8 2/8 2/10 2/10 2/10 1/5 2/10 2/10",
+        "2/8 2/8 2/8 2/8 2/10 2/10 2/10 2/10 1/5 2/10",
+        "2/8 2/8 2/8 2/8 2/10 2/10 2/10 2/10 2/10 1/5"],
+}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_entry_case_gives_every_entry_its_family(d):
+    table = [[tuple(int(v) for v in cell.split("/")) for cell in row.split()]
+             for row in _ENTRY_FAMILIES[d]]
+    assert len(table) == ns.n_rigid(d)
+    cases = ns.gram_integral_cases(d)
+    for al, row in enumerate(table, start=1):
+        for be, family in enumerate(row, start=1):
+            case = ns.entry_case(d, al, be)
+            assert case[2:] == family, (al, be)
+            assert case in cases
+
+
+def test_entry_case_validation():
+    with pytest.raises(AsymptoticsError):
+        ns.entry_case(1, 1, 1)
+    with pytest.raises(AsymptoticsError):
+        ns.entry_case(2, 0, 1)
+
+
 def test_flat_entry_oracle_degenerates_to_rho_laws():
     # zero flat-set measure reduces the flat entry table to the order-2
     # point-contact scalings of the rho families

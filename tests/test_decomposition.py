@@ -54,7 +54,7 @@ def test_assemble_system_makes_one_energy_integral_call(params, power_cells, pow
         return energy(params_, fields_)
 
     monkeypatch.setattr(ns.decomposition, "energy_integral", counting_energy)
-    system = ns.assemble_system(params, power_cells)
+    system = ns.assemble_system(power_cells)
     assert calls == [[id(f) for f in fields]]
     for name in ("gram", "load", "gram_defect"):
         assert np.array_equal(getattr(system, name), getattr(power_system, name))
@@ -74,6 +74,14 @@ def test_energy_integral_matches_stiffness_gram(power_mesh, power_cells, lam):
     assert np.abs(quad - g).max() <= 1e-12 * np.abs(g).max()
 
 
+def test_assemble_system_checks_against_the_solvers_moduli(power_mesh):
+    """Cells solved at lam = -0.5 pass the cross-check: the quadrature takes
+    the moduli of the solver that formed K."""
+    cells = ns.solve_cell_problems(power_mesh, ns.ElasticParams(-0.5, 1.0),
+                                   ns.resolve_phi("affine-x2"))
+    assert ns.assemble_system(cells).gram_defect < 1e-8
+
+
 def test_residuals(power_system):
     assert power_system.residual <= 1e-10
     assert power_system.residual_p <= 1e-10
@@ -87,7 +95,7 @@ def test_cramer_cross_check(power_system):
 
 def test_zero_data_gives_zero(power_mesh, params):
     cells = ns.solve_cell_problems(power_mesh, params, ns.resolve_phi("zero"))
-    system = ns.solve_coefficients(ns.assemble_system(params, cells))
+    system = ns.solve_coefficients(ns.assemble_system(cells))
     assert np.abs(system.c1).max() < 1e-10
     assert np.abs(system.c2).max() < 1e-10
     u = ns.reconstruct(cells, system)
@@ -99,7 +107,7 @@ def test_rigid_data_propagates(power_mesh, params, gamma):
     psi = ns.rigid_basis(2)[gamma - 1]
     cells = ns.solve_cell_problems(power_mesh, params, psi,
                                    ns.SolverConfig(tol=1e-13))
-    system = ns.solve_coefficients(ns.assemble_system(params, cells))
+    system = ns.solve_coefficients(ns.assemble_system(cells))
     indicator = np.zeros(3)
     indicator[gamma - 1] = 1.0
     assert np.abs(system.c1 - indicator).max() < 1e-8
@@ -112,7 +120,7 @@ def test_rigid_data_propagates(power_mesh, params, gamma):
 def test_pipeline_linearity(power_mesh, params, power_cells, power_system):
     phi2 = lambda pts: 2.0 * ns.resolve_phi("affine-x2")(pts)
     cells2 = ns.solve_cell_problems(power_mesh, params, phi2)
-    system2 = ns.solve_coefficients(ns.assemble_system(params, cells2))
+    system2 = ns.solve_coefficients(ns.assemble_system(cells2))
     assert np.allclose(system2.c1, 2.0 * power_system.c1, rtol=1e-9, atol=1e-12)
     assert np.allclose(system2.diff, 2.0 * power_system.diff, rtol=1e-9, atol=1e-12)
     u1 = ns.reconstruct(power_cells, power_system)
@@ -122,7 +130,7 @@ def test_pipeline_linearity(power_mesh, params, power_cells, power_system):
 
 
 def test_reconstruct_requires_solved(power_cells, params):
-    unsolved = ns.assemble_system(params, power_cells)
+    unsolved = ns.assemble_system(power_cells)
     with pytest.raises(DecompositionError):
         ns.reconstruct(power_cells, unsolved)
 
@@ -131,8 +139,7 @@ def test_reconstructed_traction_moments_vanish(power_cells, power_system):
     u = ns.reconstruct(power_cells, power_system)
     scale = np.abs(power_system.b1).max()
     for tag in (BT.INCLUSION_TOP, BT.INCLUSION_BOTTOM):
-        for psi in power_cells.basis:
-            m = ns.boundary_traction_moment(power_cells.solver, u, tag, psi)
+        for m in ns.boundary_traction_moment(power_cells.solver, u, tag, power_cells.basis):
             assert abs(m) < 1e-8 * max(scale, 1.0)
 
 
@@ -163,7 +170,7 @@ def test_frame_consistency_translation_block(power_profile, params):
         radial_ratio=1.5))
     shift = np.array([0.23, -0.11])
     shifted = ns.Mesh(mesh.nodes + shift, mesh.cells.copy(), mesh.edges.copy(),
-                      mesh.edge_tags.copy(), mesh.grading_report, dict(mesh.meta))
+                      mesh.edge_tags.copy(), dict(mesh.meta))
 
     def trans_block(m):
         params_ = params
@@ -201,4 +208,4 @@ def test_gram_cross_check_catches_a_perturbed_strain(params, power_cells, monkey
         # the solver assembles K once, so the faulty K enters through a new one
         cells = replace(cells, solver=ns.DirichletSolver(power_cells.solver.space.mesh, params))
     with pytest.raises(DecompositionError, match="V\\^T K V"):
-        ns.assemble_system(params, cells)
+        ns.assemble_system(cells)

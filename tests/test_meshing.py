@@ -154,6 +154,27 @@ def test_export_import_roundtrip(tmp_path, power_mesh, flat_mesh):
         assert dumps_mesh(again) == dumps_mesh(mesh)
 
 
+@pytest.mark.parametrize("kind, shape", [("power", {"m": 2.0}), ("power", {"m": 6.0}),
+                                         ("flat", {"r0": 0.3})])
+def test_loaded_mesh_keeps_the_grading_report(tmp_path, kind, shape):
+    mesh = ns.build_mesh(ns.make_profile(kind, epsilon=1e-2, **shape), COARSE)
+    path = str(tmp_path / "mesh.txt")
+    ns.save_mesh(mesh, path)
+    assert ns.load_mesh(path).grading_report == mesh.grading_report
+    assert mesh.grading_report.dx_min > 0.0
+
+
+def test_mesh_file_without_neck_widths_loads_with_zero(tmp_path, power_mesh):
+    lines = [ln for ln in dumps_mesh(power_mesh).splitlines() if not ln.startswith("dx_m")]
+    lines[lines.index(f"meta {len(power_mesh.meta)}")] = f"meta {len(power_mesh.meta) - 2}"
+    path = tmp_path / "old.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rep = ns.load_mesh(str(path)).grading_report
+    assert (rep.dx_min, rep.dx_max) == (0.0, 0.0)
+    assert replace(rep, dx_min=power_mesh.grading_report.dx_min,
+                   dx_max=power_mesh.grading_report.dx_max) == power_mesh.grading_report
+
+
 def test_mesh_build_deterministic(power_profile):
     a = dumps_mesh(ns.build_mesh(power_profile, COARSE))
     b = dumps_mesh(ns.build_mesh(power_profile, COARSE))
@@ -251,14 +272,16 @@ def _corrupt(mesh, cells=None, edges=None, tags=None):
                 mesh.cells.copy() if cells is None else cells,
                 mesh.edges.copy() if edges is None else edges,
                 mesh.edge_tags.copy() if tags is None else tags,
-                mesh.grading_report, dict(mesh.meta))
+                dict(mesh.meta))
 
 
 def test_validate_rejects_inverted_cell(power_mesh):
     cells = power_mesh.cells.copy()
     cells[5] = cells[5, [0, 2, 1]]
-    with pytest.raises(MeshingError, match="^mesh contains non-positively-oriented cells$"):
+    c = power_mesh.nodes[cells[5]].mean(axis=0)
+    with pytest.raises(MeshingError, match=r"^degenerate or inverted cell near \(") as info:
         validate_mesh(_corrupt(power_mesh, cells=cells))
+    assert str(info.value).endswith(f"near ({c[0]:.4g}, {c[1]:.4g})")
 
 
 def test_validate_rejects_edge_tag_count_mismatch(power_mesh):
