@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -87,7 +88,7 @@ def main(argv=None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="run the eps sweep")
     _add_common(p_sweep)
-    p_sweep.add_argument("--json", dest="out_json", help="summary JSON path")
+    p_sweep.add_argument("--json", help="summary JSON path")
 
     p_fit = sub.add_parser("fit", help="fit rates from an existing sweep CSV")
     p_fit.add_argument("csv", help="sweep CSV file")
@@ -133,11 +134,17 @@ def main(argv=None) -> int:
 
     if args.command == "sweep":
         config = _config_from_args(args)
-        config = replace(config, out_csv=args.out or config.out_csv,
-                         out_json=args.out_json or config.out_json)
+        t0 = time.perf_counter()
         rows = run_sweep(config)
+        wall_time_s = time.perf_counter() - t0
         summary = sweep_summary(config, rows)
-        fit = summary.get("fits", {}).get("max_grad_u")
+        summary["wall_time_s"] = wall_time_s
+        if args.out:
+            write_csv(rows, args.out)
+        if args.json:
+            with open(args.json, "w", encoding="utf-8") as f:
+                json.dump(summary, f, indent=2, sort_keys=True)
+        fit = summary["fits"].get("max_grad_u")
         if fit:
             print(f"max|grad u| slope = {fit['slope']:.4f} (R2 = {fit['r2']:.4f}), "
                   f"predicted {fit['predicted_exponent']}")

@@ -170,8 +170,7 @@ class P2Space:
 
         # boundary scalar dofs per tag (vertices plus midside dofs)
         self._tag_dofs: dict[int, np.ndarray] = {}
-        for tag in (BoundaryTag.INCLUSION_TOP, BoundaryTag.INCLUSION_BOTTOM,
-                    BoundaryTag.OUTER):
+        for tag in BoundaryTag:
             sel = mesh.edges[mesh.edge_tags == int(tag)]
             if sel.size == 0:
                 self._tag_dofs[int(tag)] = np.array([], dtype=np.int64)
@@ -338,8 +337,7 @@ class DirichletSolver:
     def _boundary_values(self, bc: dict) -> np.ndarray:
         """The datum at the Dirichlet dofs, in ``bdofs`` order."""
         space = self.space
-        required = {int(BoundaryTag.INCLUSION_TOP), int(BoundaryTag.INCLUSION_BOTTOM),
-                    int(BoundaryTag.OUTER)}
+        required = {int(tag) for tag in BoundaryTag}
         given = {int(k) for k in bc}
         if given != required:
             raise FemError(f"bc must cover exactly the tags {sorted(required)}, got {sorted(given)}")

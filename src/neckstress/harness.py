@@ -1,5 +1,5 @@
 """Experiment orchestration: gap sweeps, log-log rate fits against the
-predicted exponents, oracle comparisons and CSV/JSON emission.
+predicted exponents, oracle comparisons, the sweep CSV and its summary.
 
 Every sweep row is reproducible in isolation from the recorded config; runs
 are deterministic, so identical configs produce bit-identical CSV files.
@@ -9,10 +9,8 @@ Wall-clock times are reported only in the JSON summary for that reason.
 from __future__ import annotations
 
 import io
-import json
 import logging
 import math
-import time
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
@@ -79,7 +77,9 @@ class ExperimentConfig:
     mesh grading, the moduli, the solver tolerance, and the strictly
     decreasing list of gap widths to sweep.  Every part is validated here,
     so a bad experiment fails before anything is meshed.  The measurement
-    strip is :data:`NECK_MEASURE_FRAC`, a constant."""
+    strip is :data:`NECK_MEASURE_FRAC`, a constant.  The only output path
+    is ``out_field``, set by ``neckstress solve --export-field``; a sweep's
+    CSV and JSON paths are the CLI's ``--out`` and ``--json``."""
 
     kind: str = "power"            # "power" | "flat"
     m: float = 2.0
@@ -92,8 +92,6 @@ class ExperimentConfig:
     grading: GradingConfig = GradingConfig()
     elastic: ElasticParams = ElasticParams(lam=1.0, mu=1.0)
     solver: SolverConfig = SolverConfig()
-    out_csv: str | None = None
-    out_json: str | None = None
     out_field: str | None = None
 
     def __post_init__(self):
@@ -236,22 +234,9 @@ def _measure_point(config: ExperimentConfig, eps: float, row: dict):
 
 
 def run_sweep(config: ExperimentConfig) -> list[dict]:
-    """One row per eps, in the configured (decreasing) order.
-
-    Writes the CSV/JSON outputs when paths are configured."""
-    t0 = time.perf_counter()
-    rows = [run_point(config, eps) for eps in config.eps_list]
-    elapsed = time.perf_counter() - t0
-    if config.out_csv:
-        write_csv(rows, config.out_csv)
-    if config.out_json:
-        summary = sweep_summary(config, rows)
-        summary["wall_time_s"] = elapsed
-        with open(config.out_json, "w", encoding="utf-8") as f:
-            json.dump(summary, f, indent=2, sort_keys=True)
-    logger.info("sweep (%s, %d points) done in %.1fs",
-                config.kind, len(rows), elapsed)
-    return rows
+    """One row per eps, in the configured (decreasing) order.  Writes
+    nothing: ``neckstress sweep`` writes the rows and their summary."""
+    return [run_point(config, eps) for eps in config.eps_list]
 
 
 # ---------------------------------------------------------------------------

@@ -27,15 +27,12 @@ from __future__ import annotations
 import enum
 import functools
 import io
-import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import NeckProfile, ProfileKind
-
-logger = logging.getLogger(__name__)
 
 FLOAT_FMT = "%.17g"
 
@@ -79,6 +76,8 @@ class GradingConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise MeshingError(f"{name} must be finite and > 0, got {value!r}")
+        if self.max_cells < 1:
+            raise MeshingError(f"max_cells must be >= 1, got {self.max_cells!r}")
         if not (math.isfinite(self.budget_scale) and self.budget_scale >= 1.0):
             raise MeshingError(f"budget_scale must be finite and >= 1, got {self.budget_scale!r}")
         # below 1 the geometric ring spacings sum to less than a ray, and
@@ -434,11 +433,6 @@ def build_mesh(profile: NeckProfile, config: GradingConfig | None = None) -> Mes
     }
     mesh = Mesh(all_nodes, all_cells, edges, tags, meta)
     validate_mesh(mesh)
-    report = mesh.grading_report
-    logger.debug(
-        "mesh: %d nodes, %d cells (%d neck), min quality %.3g",
-        report.n_nodes, report.n_cells, report.n_neck_cells, report.min_quality,
-    )
     return mesh
 
 

@@ -242,11 +242,9 @@ def test_criterion_10_determinism(tmp_path):
         ns.ExperimentConfig(),
         eps_list=(1e-2, 3e-3, 1e-3, 3e-4),
         grading=COARSE,
-        out_csv=str(tmp_path / "a.csv"),
     )
-    ns.run_sweep(cfg)
-    cfg2 = replace(cfg, out_csv=str(tmp_path / "b.csv"))
-    ns.run_sweep(cfg2)
+    ns.write_csv(ns.run_sweep(cfg), str(tmp_path / "a.csv"))
+    ns.write_csv(ns.run_sweep(cfg), str(tmp_path / "b.csv"))
     a = (tmp_path / "a.csv").read_bytes()
     b = (tmp_path / "b.csv").read_bytes()
     ok = a == b and len(a) > 0

@@ -46,7 +46,17 @@ def test_solve_subcommand(tmp_path, capsys, monkeypatch):
     assert len(dof_lines) == rows[0]["n_dofs"] / 2
 
 
-def test_sweep_subcommand_with_config(tmp_path, capsys):
+def test_sweep_subcommand_with_config(tmp_path, capsys, monkeypatch):
+    # run_sweep used to build the JSON's summary and main a second one
+    calls = []
+    summarize = neckstress.harness.sweep_summary
+
+    def counting(*args):
+        calls.append(args)
+        return summarize(*args)
+
+    monkeypatch.setattr(neckstress.harness, "sweep_summary", counting)
+    monkeypatch.setattr(neckstress.cli, "sweep_summary", counting)
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
         "profile = power\n"
@@ -69,8 +79,9 @@ def test_sweep_subcommand_with_config(tmp_path, capsys):
     assert summary["config"]["elastic"] == {"lam": 1.0, "mu": 1.0}
     assert summary["config"]["solver"] == {"tol": 1e-10}
     assert summary["config"]["eps_list"] == [1e-2, 3e-3, 1e-3, 3e-4]
-    out = capsys.readouterr().out
-    assert "slope" in out
+    assert len(calls) == 1
+    slope = summary["fits"]["max_grad_u"]["slope"]
+    assert f"max|grad u| slope = {slope:.4f} " in capsys.readouterr().out
 
 
 def test_fit_subcommand(tmp_path, capsys):

@@ -149,9 +149,12 @@ def test_failures_recorded_in_row(caplog):
 
 def test_failures_listed_in_json_summary(tmp_path, fast_rows):
     out = tmp_path / "sweep.json"
-    bad = replace(FAST, eps_list=(1e-2, 1e-3), grading=replace(COARSE, max_cells=300),
-                  out_json=str(out))
-    rows = ns.run_sweep(bad)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("eps_list = 1e-2, 1e-3\nmesh_budget = 300\n"
+                   "dx_min_frac = 0.5\ndx_max_frac = 0.12\narc_frac = 0.15\n"
+                   "n_radial = 6\nradial_ratio = 1.5\n")
+    assert main(["sweep", "--config", str(cfg), "--json", str(out)]) == 1
+    rows = ns.run_sweep(config_from_mapping(load_config_file(str(cfg))))
     summary = json.loads(out.read_text(encoding="utf-8"))
     assert summary["n_failed"] == 2
     assert [(f["eps"], f["error"]) for f in summary["failures"]] == [
@@ -274,11 +277,12 @@ def test_config_file_rejects_garbage(tmp_path):
 
 
 @pytest.mark.parametrize("mapping", [{"solver_method": "direct"}, {"seed": 1},
-                                     {"out_field": "f.txt"}, {"neck_measure_frac": "0.9"}])
+                                     {"out_field": "f.txt"}, {"neck_measure_frac": "0.9"},
+                                     {"out_csv": "a.csv"}, {"out_json": "a.json"}])
 def test_config_rejects_removed_and_output_only_keys(mapping):
     # the solver path and mesh generation take no method or seed, and the
-    # measurement strip is fixed (NECK_MEASURE_FRAC); the field export path
-    # is set by the solve subcommand only
+    # measurement strip is fixed (NECK_MEASURE_FRAC); output paths are
+    # flags only: --export-field for solve, --out and --json for sweep
     with pytest.raises(HarnessError, match="unknown config key"):
         config_from_mapping(mapping)
 
@@ -286,6 +290,8 @@ def test_config_rejects_removed_and_output_only_keys(mapping):
 @pytest.mark.parametrize("key, raw, build, error, message", [
     ("layers", "0", lambda: ns.GradingConfig(n_layers=0),
      MeshingError, "^n_layers must be >= 1"),
+    ("mesh_budget", "0", lambda: ns.GradingConfig(max_cells=0),
+     MeshingError, "^max_cells must be >= 1, got 0"),
     ("lam", "nan", lambda: ns.ElasticParams(math.nan, 1.0),
      ElasticityError, "^lam must be finite, got nan"),
     ("tol", "0", lambda: ns.SolverConfig(tol=0.0),
@@ -296,7 +302,7 @@ def test_config_rejects_removed_and_output_only_keys(mapping):
      GeometryError, "^unknown profile kind 'bogus'"),
     ("eps_list", "1e-2, nan", lambda: ns.ExperimentConfig(eps_list=(1e-2, math.nan)),
      HarnessError, "^eps_list values must be finite and > 0, got nan"),
-], ids=["layers", "lam", "tol", "m", "profile", "eps_list"])
+], ids=["layers", "mesh_budget", "lam", "tol", "m", "profile", "eps_list"])
 def test_invalid_value_fails_at_construction(monkeypatch, tmp_path, key, raw, build,
                                              error, message):
     """Each invalid value raises the typed error of the class that owns it,
@@ -316,7 +322,7 @@ def test_invalid_value_fails_at_construction(monkeypatch, tmp_path, key, raw, bu
     for command in ("mesh", "solve", "sweep"):
         with pytest.raises(error, match=message):
             main([command, "--config", str(cfg)])
-    if key in ("layers", "tol", "m", "eps_list"):   # the keys that are flags too
+    if key in ("layers", "mesh_budget", "tol", "m", "eps_list"):   # the keys that are flags too
         with pytest.raises(error, match=message):
             main(["sweep", f"--{key.replace('_', '-')}", raw.replace(" ", "")])
 
