@@ -152,7 +152,8 @@ def main(argv=None) -> int:
             cmp_report = compare_oracles(config, rows)
             print("gram-entry comparison: "
                   + ("PASS" if cmp_report["pass"] else "FAIL"))
-        except Exception as exc:
+        except (HarnessError, asy.AsymptoticsError) as exc:
+            # fewer than 4 ok rows, or an eps outside the rho laws' (0, 1/2)
             print(f"gram-entry comparison skipped: {exc}")
         failed = [r for r in rows if r["status"] != "ok"]
         if failed:

@@ -136,7 +136,8 @@ def assemble_system(cells: CellSolutions) -> CoefficientSystem:
 def solve_coefficients(system: CoefficientSystem) -> CoefficientSystem:
     """Solve gram c = load directly (dense, 2n x 2n) and form the difference
     data: diff = C1 - C2 and p = b1 - (a11 + a12) C2, which satisfy
-    a11 diff = p up to the recorded residual."""
+    a11 diff = p up to the recorded residual.  A solve residual above 1e-8
+    raises; that of a11 diff = p does not, as |p| is rounding for rigid data."""
     m, rhs = system.gram, system.load
     n = system.n_alpha
     try:
@@ -147,6 +148,8 @@ def solve_coefficients(system: CoefficientSystem) -> CoefficientSystem:
             f"coefficient system is singular (cond ~ {cond:.3e})") from exc
     rhs_norm = max(float(np.linalg.norm(rhs)), 1e-300)
     residual = float(np.linalg.norm(m @ c - rhs)) / rhs_norm
+    if residual > 1e-8:
+        raise DecompositionError(f"coefficient system solve residual {residual:.3e} exceeds 1e-8")
     c1, c2 = c[:n], c[n:]
     diff = c1 - c2
     p = system.b1 - (system.a11 + m[:n, n:]) @ c2

@@ -116,9 +116,10 @@ def _ref_grads(xi_eta: np.ndarray) -> np.ndarray:
 
 
 class P2Space:
-    """Scalar P2 dof layout on a mesh plus its geometry factors.  The
-    stiffness is assembled on request and not kept: ``DirichletSolver``
-    holds the blocks of it that a point uses."""
+    """Scalar P2 dof layout on a mesh plus the geometry factors every point
+    reads; the probes derive cell origins and quadrature points from the
+    mesh.  The stiffness is assembled on request and not kept:
+    ``DirichletSolver`` holds the blocks of it that a point uses."""
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
@@ -155,18 +156,11 @@ class P2Space:
         self.inv_jt[:, 0, 1] = -j21 / det
         self.inv_jt[:, 1, 0] = -j12 / det
         self.inv_jt[:, 1, 1] = j11 / det
-        self.p0 = p[:, 0, :]
-        jac = np.stack(
-            [np.stack([j11, j12], axis=1), np.stack([j21, j22], axis=1)], axis=1)
 
         ghat = _ref_grads(_QP)                       # (q, 6, 2)
         # physical gradients at quadrature points: (m, q, 6, 2)
         self.grad_q = np.einsum("mij,qaj->mqai", self.inv_jt, ghat)
         self.wdet = _QW[None, :] * det[:, None]      # (m, q)
-        self.quad_xy = (
-            self.p0[:, None, :]
-            + np.einsum("mij,qj->mqi", jac, _QP)
-        )
 
         # boundary scalar dofs per tag (vertices plus midside dofs)
         self._tag_dofs: dict[int, np.ndarray] = {}
@@ -465,7 +459,8 @@ def gradient_at(field: DisplacementField, point) -> np.ndarray:
     with the nearest centroid is used, the lowest index on ties."""
     space = field.space
     pt = np.asarray(point, dtype=float)
-    xi_eta = np.einsum("mij,mi->mj", space.inv_jt, pt - space.p0)
+    p0 = space.mesh.nodes[space.mesh.cells[:, 0]]
+    xi_eta = np.einsum("mij,mi->mj", space.inv_jt, pt - p0)
     tol = -1e-10
     inside = np.nonzero((xi_eta[:, 0] >= tol) & (xi_eta[:, 1] >= tol)
                         & (xi_eta.sum(axis=1) <= 1.0 - tol))[0]
@@ -525,7 +520,9 @@ def gradient_sq_integral(field: DisplacementField, region) -> float:
     space = field.space
     g = _grads_at(space, field.values)
     dens = np.sum(g * g, axis=(2, 3))
-    mask = region(space.quad_xy.reshape(-1, 2)).reshape(space.wdet.shape)
+    p = space.mesh.nodes[space.mesh.cells]                 # (m, 3, 2)
+    quad_xy = p[:, None, 0, :] + np.einsum("mji,qj->mqi", p[:, 1:] - p[:, :1], _QP)
+    mask = region(quad_xy.reshape(-1, 2)).reshape(space.wdet.shape)
     return float(np.sum(space.wdet * mask * dens))
 
 

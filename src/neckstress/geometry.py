@@ -64,6 +64,8 @@ class NeckProfile:
             if self.r0 != 0.0:
                 raise GeometryError("r0 is a Flat-kind parameter; Power requires r0 = 0")
         else:
+            if self.m is not None:
+                raise GeometryError("m is a Power-kind parameter; Flat takes no order m")
             if self.r0 < 0.0:
                 raise GeometryError(f"r0 must be >= 0, got {self.r0}")
             if self.r0 >= self.r_neck:
@@ -140,8 +142,9 @@ def make_profile(
 
     ``kind`` may be a :class:`ProfileKind` or the strings "flat"/"power".
     ``outer_radius`` defaults to 5*r_neck, the closest admissible outer
-    boundary.  Rejects epsilon <= 0, m < 2, r0 >= r_neck and non-convex
-    parameter combinations (kappa0 <= 0).
+    boundary.  Rejects epsilon <= 0, m < 2, r0 >= r_neck, non-convex
+    parameter combinations (kappa0 <= 0) and the other kind's shape value:
+    Power with r0 != 0, Flat with any m (Power's m = None reads as 2).
     """
     if isinstance(kind, str):
         try:
@@ -152,8 +155,6 @@ def make_profile(
         outer_radius = 5.0 * r_neck
     if kind is ProfileKind.POWER and m is None:
         m = 2.0
-    if kind is ProfileKind.FLAT:
-        m = None
     return NeckProfile(
         kind=kind,
         epsilon=float(epsilon),

@@ -73,20 +73,18 @@ NECK_MEASURE_FRAC = 0.95
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One two-dimensional experiment: geometry family, boundary data, the
-    mesh grading, the moduli, the solver tolerance, and the strictly
+    """One two-dimensional experiment: geometry family and its shape value
+    (``m`` for power, None reading as 2; ``r0`` for flat), boundary data,
+    the mesh grading, the moduli, the solver tolerance, and the strictly
     decreasing list of gap widths to sweep.  Every part is validated here,
-    so a bad experiment fails before anything is meshed.  The measurement
-    strip is :data:`NECK_MEASURE_FRAC`, a constant.  The only output path
-    is ``out_field``, set by ``neckstress solve --export-field``; a sweep's
-    CSV and JSON paths are the CLI's ``--out`` and ``--json``."""
+    so a bad experiment fails before anything is meshed.  The neck chart
+    radius (1), the outer radius (5) and the measurement strip are fixed.
+    The only output path is ``out_field``, set by ``solve --export-field``."""
 
     kind: str = "power"            # "power" | "flat"
-    m: float = 2.0
+    m: float | None = None
     r0: float = 0.0
     kappa0: float = 1.0
-    r_neck: float = 1.0
-    outer_radius: float = 5.0
     eps_list: tuple = field(default_factory=default_eps_list)
     phi: str = "affine-x2"
     grading: GradingConfig = GradingConfig()
@@ -108,12 +106,10 @@ class ExperimentConfig:
         self.profile_for(eps[0])   # validates the geometry at every eps
 
     def profile_for(self, eps: float) -> NeckProfile:
-        return make_profile(
-            self.kind, epsilon=eps, kappa0=self.kappa0,
-            m=self.m if self.kind == "power" else None,
-            r0=self.r0 if self.kind == "flat" else 0.0,
-            r_neck=self.r_neck, outer_radius=self.outer_radius,
-        )
+        """The profile at gap width ``eps``; a shape value the kind does not
+        take (power with r0, flat with m) raises ``GeometryError``."""
+        return make_profile(self.kind, epsilon=eps, kappa0=self.kappa0,
+                            m=self.m, r0=self.r0)
 
     def geometry_for_rates(self) -> tuple:
         """("flat", flat-set measure) for flat contact with r0 > 0, else
@@ -121,7 +117,7 @@ class ExperimentConfig:
         law and envelope reads the geometry from here."""
         if self.kind == "flat" and self.r0 > 0.0:
             return ("flat", 2.0 * self.r0)
-        return ("power", self.m if self.kind == "power" else 2.0)
+        return ("power", 2.0 if self.m is None else self.m)
 
 
 def resolve_phi(selector: str):
@@ -539,11 +535,8 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-# CLI flag names (with '_' for '-') that differ from the field they set;
-# solver_tol is the solver tolerance's key from before it moved into
-# SolverConfig, so older config files still load
-_FLAG_FIELDS = {"profile": "kind", "mesh_budget": "max_cells",
-                "layers": "n_layers", "solver_tol": "tol"}
+# CLI flag names (with '_' for '-') that differ from the field they set
+_FLAG_FIELDS = {"profile": "kind", "mesh_budget": "max_cells", "layers": "n_layers"}
 
 
 def _config_keys() -> dict:
@@ -553,7 +546,8 @@ def _config_keys() -> dict:
     keys = {}
     hints = typing.get_type_hints(ExperimentConfig)
     for f in fields(ExperimentConfig):
-        ftype = hints[f.name]
+        # an optional value (m: float | None) parses as the type it holds
+        ftype = (typing.get_args(hints[f.name]) or (hints[f.name],))[0]
         if is_dataclass(ftype):
             part = typing.get_type_hints(ftype)
             keys.update((g.name, (f.name, part[g.name])) for g in fields(ftype))

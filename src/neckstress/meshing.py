@@ -216,14 +216,17 @@ def _local_walk(profile: NeckProfile, start: float, stop: float,
     The local scale is 1-Lipschitz, so consecutive widths grow by at most
     the geometric factor 1 + frac; anchoring the walk at the gap minimum or
     flat-set edge keeps the worst cell aspect there, invariant under budget
-    scaling.
+    scaling.  Steps have no floor, so the finest column follows eps; a step
+    that does not move the position in floating point raises.
     """
     direction = 1.0 if stop > start else -1.0
     pts = [start]
     while True:
         step = min(frac * _local_scale(profile, pts[-1]), dx_max)
-        step = max(step, 1e-7 * profile.r_neck)
         nxt = pts[-1] + direction * step
+        if nxt == pts[-1]:
+            raise MeshingError(f"neck grading stalls at x1 = {pts[-1]!r}: a step of "
+                               f"{step:.3g} does not move it (eps = {profile.epsilon:.3g})")
         if (stop - nxt) * direction <= 0.0:
             break
         pts.append(nxt)

@@ -149,10 +149,23 @@ def test_oracle_subcommand_rejects_a_bad_tol(tmp_path, tol):
 
 def test_cli_flag_overrides_config(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("profile = flat\nr0 = 0.3\n")
-    rc = main(["mesh", "--config", str(cfg), "--profile", "power",
-               "--m", "2", "--eps", "1e-2"])
+    cfg.write_text("profile = power\nm = 4\n")
+    out = tmp_path / "m.txt"
+    rc = main(["mesh", "--config", str(cfg), "--m", "2", "--eps", "1e-2",
+               "--out", str(out)])
     assert rc == 0
+    assert load_mesh(str(out)).meta["m"] == 2.0
+
+
+def test_sweep_raises_a_fault_of_the_gram_entry_comparison(monkeypatch):
+    # any exception used to print "gram-entry comparison skipped" and exit 0
+    def broken(config, rows):
+        raise RuntimeError("comparison fault")
+
+    monkeypatch.setattr(neckstress.cli, "run_sweep", lambda config: [])
+    monkeypatch.setattr(neckstress.cli, "compare_oracles", broken)
+    with pytest.raises(RuntimeError, match="^comparison fault$"):
+        main(["sweep"])
 
 
 @pytest.mark.parametrize("line,field,value", [

@@ -278,11 +278,14 @@ def test_config_file_rejects_garbage(tmp_path):
 
 @pytest.mark.parametrize("mapping", [{"solver_method": "direct"}, {"seed": 1},
                                      {"out_field": "f.txt"}, {"neck_measure_frac": "0.9"},
-                                     {"out_csv": "a.csv"}, {"out_json": "a.json"}])
+                                     {"out_csv": "a.csv"}, {"out_json": "a.json"},
+                                     {"r_neck": "1"}, {"outer_radius": "5"},
+                                     {"solver_tol": "1e-12"}])
 def test_config_rejects_removed_and_output_only_keys(mapping):
     # the solver path and mesh generation take no method or seed, and the
-    # measurement strip is fixed (NECK_MEASURE_FRAC); output paths are
-    # flags only: --export-field for solve, --out and --json for sweep
+    # measurement strip, the neck chart radius and the outer radius are
+    # fixed; the solver tolerance's key is tol; output paths are flags
+    # only: --export-field for solve, --out and --json for sweep
     with pytest.raises(HarnessError, match="unknown config key"):
         config_from_mapping(mapping)
 
@@ -327,9 +330,37 @@ def test_invalid_value_fails_at_construction(monkeypatch, tmp_path, key, raw, bu
             main(["sweep", f"--{key.replace('_', '-')}", raw.replace(" ", "")])
 
 
-def test_solver_tol_key_sets_the_solver_tolerance():
-    # the key the tolerance had as an ExperimentConfig field still loads
-    assert config_from_mapping({"solver_tol": "1e-12"}).solver.tol == 1e-12
+@pytest.mark.parametrize("kind, key, raw, message", [
+    ("power", "r0", "0.3", "^r0 is a Flat-kind parameter; Power requires r0 = 0$"),
+    ("flat", "m", "3", "^m is a Power-kind parameter; Flat takes no order m$"),
+], ids=["power-r0", "flat-m"])
+def test_a_shape_value_the_kind_does_not_take_fails_at_construction(kind, key, raw, message):
+    """Each kind takes its own shape value; the other one used to be dropped,
+    and the experiment meshed the default power m = 2."""
+    with pytest.raises(GeometryError, match=message):
+        ns.ExperimentConfig(kind=kind, **{key: float(raw)})
+    with pytest.raises(GeometryError, match=message):
+        config_from_mapping({"profile": kind, key: raw})
+    with pytest.raises(GeometryError, match=message):
+        main(["mesh", "--profile", kind, f"--{key}", raw])
+
+
+def test_deep_eps_neck_is_graded_to_the_gap():
+    """m = 2: max|grad u| eps^(1/2) at eps = 1e-14 holds its value at 1e-10.
+    A floor on the neck column width used to under-resolve the neck there
+    (4.8% off) with status ok."""
+    rows = ns.run_sweep(replace(FAST, eps_list=(1e-10, 1e-14)))
+    scaled = [r["max_grad_u"] * math.sqrt(r["eps"]) for r in rows]
+    assert scaled[1] == pytest.approx(scaled[0], rel=1e-4)
+
+
+def test_gram_solve_above_tolerance_is_recorded_as_an_error():
+    """m = 8, shear-twist, eps = 1e-12: the coefficient solve's relative
+    residual is about 7e-7, and the row used to read status ok."""
+    row = ns.run_point(replace(FAST, m=8.0, phi="shear-twist"), 1e-12)
+    assert row["status"] == "error"
+    assert re.fullmatch(r"DecompositionError: coefficient system solve residual "
+                        r"\S+ exceeds 1e-8", row["message"])
 
 
 def test_dumps_csv_deterministic(fast_rows):

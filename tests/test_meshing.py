@@ -96,6 +96,18 @@ def test_budget_error():
         ns.build_mesh(p, GradingConfig(max_cells=500))
 
 
+@pytest.mark.parametrize("kind, shape, eps, x1", [
+    ("flat", {"r0": 0.3, "kappa0": 4.0}, 1e-34, 0.3),     # first step < half an ulp of r0
+    ("power", {"kappa0": 1e5}, 1e-320, 0.0),               # the local scale underflows
+], ids=["flat-below-ulp", "power-underflow"])
+def test_neck_grading_that_cannot_move_raises(kind, shape, eps, x1):
+    # a floor on the column width used to mesh these silently, under-resolved
+    p = ns.make_profile(kind, epsilon=eps, **shape)
+    with pytest.raises(MeshingError, match=rf"^neck grading stalls at x1 = {x1!r}: "
+                                           rf".*\(eps = {eps:.3g}\)$"):
+        ns.build_mesh(p, COARSE)
+
+
 @pytest.mark.parametrize("ratio", [0.5, 0.999, float("nan"), float("inf")])
 def test_radial_ratio_below_one_or_non_finite_is_rejected(ratio):
     # below 1 the ring spacings sum to less than a ray and meshing never ends
