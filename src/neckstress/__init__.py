@@ -34,7 +34,6 @@ from .fem import (
     DisplacementField,
     P2Space,
     SolveReport,
-    SolverConfig,
     boundary_traction_moment,
     energy_integral,
     export_field,

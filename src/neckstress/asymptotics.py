@@ -92,10 +92,10 @@ def rho_law(kind: int, k: float, m: float) -> ScalingLaw:
     m = k with no smoothing between branches, a pure power for m > k."""
     if kind not in (1, 2):
         raise AsymptoticsError(f"rho kind must be 1 or 2, got {kind}")
-    if k < 1:
-        raise AsymptoticsError(f"rho requires k >= 1, got {k}")
-    if m < 2:
-        raise AsymptoticsError(f"rho requires m >= 2, got {m}")
+    if not (math.isfinite(k) and k >= 1):
+        raise AsymptoticsError(f"rho requires a finite k >= 1, got {k}")
+    if not (math.isfinite(m) and m >= 2):
+        raise AsymptoticsError(f"rho requires a finite m >= 2, got {m}")
     if m < k:
         return ScalingLaw(0.0)
     if m == k:
@@ -169,10 +169,10 @@ def singular_integral_oracle(k: float, m: float, p: float, epsilon: float,
     Gauss-Legendre quadrature with panels subdividing geometrically toward
     r = 0, where the integrand is nearly singular at scale (eps/kappa0)^(1/m).
     """
-    if k < 0:
-        raise AsymptoticsError(f"k must be >= 0, got {k}")
-    if m < 2:
-        raise AsymptoticsError(f"m must be >= 2, got {m}")
+    if not (math.isfinite(k) and k >= 0):
+        raise AsymptoticsError(f"k must be finite and >= 0, got {k}")
+    if not (math.isfinite(m) and m >= 2):
+        raise AsymptoticsError(f"m must be finite and >= 2, got {m}")
     if p not in ORACLE_POWERS:
         raise AsymptoticsError(f"power p must be one of {ORACLE_POWERS}, got {p}")
     if epsilon <= 0 or r_max <= 0:

@@ -47,7 +47,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--mesh-budget", type=int)
     p.add_argument("--layers", type=int)
     p.add_argument("--budget-scale", dest="budget_scale", type=float)
-    p.add_argument("--tol", type=float)
     p.add_argument("--out", dest="out", help="output path")
 
 
@@ -66,7 +65,7 @@ def _config_from_args(args) -> ExperimentConfig:
     config = config_from_mapping(load_config_file(args.config) if args.config else {})
     flags = {key: getattr(args, key) for key in (
         "profile", "m", "r0", "kappa0", "eps_list", "phi",
-        "mesh_budget", "layers", "budget_scale", "tol")}
+        "mesh_budget", "layers", "budget_scale")}
     return config_from_mapping(flags, config)
 
 

@@ -30,7 +30,6 @@ from .fem import (
     DirichletSolver,
     DisplacementField,
     SolveReport,
-    SolverConfig,
     energy_integral,
     max_gradient,
 )
@@ -58,8 +57,7 @@ class CellSolutions:
         return len(self.basis)
 
 
-def solve_cell_problems(mesh: Mesh, params: ElasticParams, phi,
-                        solver: SolverConfig | None = None) -> CellSolutions:
+def solve_cell_problems(mesh: Mesh, params: ElasticParams, phi) -> CellSolutions:
     """Solve all v_i[alpha] and v3 in one block solve sharing one
     preconditioner."""
     basis = rigid_basis(2)
@@ -71,7 +69,7 @@ def solve_cell_problems(mesh: Mesh, params: ElasticParams, phi,
             bcs[f"v{i}^{psi.index}"] = {own_tag: psi, other: 0.0, BoundaryTag.OUTER: 0.0}
     bcs["v3"] = {BoundaryTag.INCLUSION_TOP: 0.0, BoundaryTag.INCLUSION_BOTTOM: 0.0,
                  BoundaryTag.OUTER: phi}
-    ds = DirichletSolver(mesh, params, solver)
+    ds = DirichletSolver(mesh, params)
     fields, report = ds.solve(bcs)
     return CellSolutions(ds, dict(zip(keys, fields)), fields[-1], report, basis)
 

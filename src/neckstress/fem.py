@@ -7,14 +7,15 @@ conditions are Dirichlet and imposed strongly by row elimination.  The
 Dirichlet problems of one mesh are solved together (``DirichletSolver``): up
 to ``_DIRECT_MAX_FREE_DOFS`` free dofs by one sparse LU factorization and one
 multi-column triangular solve, above it by one block CG run with a shared
-incomplete-LU preconditioner.  The solver is the one owner of a point's
-operator: it assembles the stiffness once, keeps only the blocks it needs,
-and drops the full matrix before the factorization; every later product with
-the stiffness (Gram matrix, traction moments) goes through it.  The solver
-also builds the mesh's ``P2Space`` (dof layout and geometry factors), and
-every field of the point lives on that space.  The mesh holds no reference
-back, so a point's mesh and space are freed by reference counting as soon as
-the point is done.
+incomplete-LU preconditioner to relative residual ``_PCG_RTOL``.  A solved
+column whose relative residual exceeds 1e-8 raises.  The solver is the one
+owner of a point's operator: it assembles the stiffness once, keeps only the
+blocks it needs, and drops the full matrix before the factorization; every
+later product with the stiffness (Gram matrix, traction moments) goes
+through it.  The solver also builds the mesh's ``P2Space`` (dof layout and
+geometry factors), and every field of the point lives on that space.  The
+mesh holds no reference back, so a point's mesh and space are freed by
+reference counting as soon as the point is done.
 
 The weak form is int_Omega lam*div(u)*div(v) + 2*mu*e(u):e(v); with the
 degree-2 quadrature rule below it is integrated exactly on affine cells.
@@ -30,7 +31,6 @@ the package, meshing and mesh I/O need numpy only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +51,9 @@ _QW = np.array([1.0 / 6.0, 1.0 / 6.0, 1.0 / 6.0])
 # direct solve.
 _DIRECT_MAX_FREE_DOFS = 50_000
 
-# block PCG iteration budget and incomplete-LU preconditioner settings, for
-# systems above the direct cap only
+# block PCG relative residual target, iteration budget and incomplete-LU
+# preconditioner settings, for systems above the direct cap only
+_PCG_RTOL = 1e-10
 _PCG_MAXITER = 300
 _ILU_DROP_TOL = 1e-5
 _ILU_FILL_FACTOR = 20.0
@@ -166,9 +167,6 @@ class P2Space:
         self._tag_dofs: dict[int, np.ndarray] = {}
         for tag in BoundaryTag:
             sel = mesh.edges[mesh.edge_tags == int(tag)]
-            if sel.size == 0:
-                self._tag_dofs[int(tag)] = np.array([], dtype=np.int64)
-                continue
             be = np.sort(sel, axis=1)
             bkey = be[:, 0] * n + be[:, 1]
             pos = np.searchsorted(key, bkey)
@@ -227,23 +225,6 @@ class SolveReport:
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    """Relative residual target of each column of the block PCG solve
-    (incomplete-LU preconditioner), which runs only for systems with more
-    than ``_DIRECT_MAX_FREE_DOFS`` free dofs; a direct sparse factorization
-    takes over for the columns still unconverged when the iteration budget is
-    exhausted (conditioning in the neck degrades like 1/eps).  Smaller
-    systems are solved directly and ``tol`` only scales the residual raise,
-    ``max(10 tol, 1e-8)``."""
-
-    tol: float = 1e-10
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise FemError(f"tol must be finite and > 0, got {self.tol!r}")
-
-
-@dataclass(frozen=True)
 class DisplacementField:
     """Vector P2 field: per-scalar-dof displacement."""
 
@@ -296,11 +277,9 @@ class DirichletSolver:
     each column equals a separate ``cg`` call bit for bit.
     """
 
-    def __init__(self, mesh: Mesh, params: ElasticParams,
-                 config: SolverConfig | None = None):
+    def __init__(self, mesh: Mesh, params: ElasticParams):
         self.space = P2Space(mesh)
         self.params = params
-        self.config = config or SolverConfig()
         a = self.space.stiffness(params)
         nsc = self.space.n_scalar
         bscalar = self.space.dirichlet_scalar
@@ -349,14 +328,13 @@ class DirichletSolver:
         The preconditioner lives only as long as this call."""
         ilu = spla.spilu(self.a_ff, drop_tol=_ILU_DROP_TOL,
                          fill_factor=_ILU_FILL_FACTOR)
-        tol = self.config.tol
         r = b.copy()
         p = np.empty_like(b)
         rho_prev = np.zeros(b.shape[0])
         active = cols
         iterations = 0
         for _ in range(_PCG_MAXITER):
-            active = [j for j in active if not np.linalg.norm(r[j]) < tol * b_norms[j]]
+            active = [j for j in active if not np.linalg.norm(r[j]) < _PCG_RTOL * b_norms[j]]
             if not active:
                 return iterations, []
             # rows stay C-contiguous: np.dot over a strided row rounds differently
@@ -388,8 +366,7 @@ class DirichletSolver:
         ``"pcg"``, ``"pcg->direct"`` (columns unconverged after the PCG
         budget are solved by the same sparse LU) or ``"trivial"`` (every
         load is zero).  A column with zero load is never solved; its free
-        dofs are zero.  A residual above ``max(10 tol, 1e-8)`` raises
-        ``FemError``."""
+        dofs are zero.  A relative residual above 1e-8 raises ``FemError``."""
         space = self.space
         gbs = [self._boundary_values(bc) for bc in bcs.values()]
         rhs = np.stack([self.neg_a_fb @ gb for gb in gbs])
@@ -413,7 +390,7 @@ class DirichletSolver:
         for j, (gb, name) in enumerate(zip(gbs, bcs)):
             if rhs_norms[j] > 0.0:
                 res = float(np.linalg.norm(self.a_ff @ x[j] - rhs[j])) / rhs_norms[j]
-                if res > max(self.config.tol * 10.0, 1e-8):
+                if res > 1e-8:
                     raise FemError(
                         f"linear solve for {name!r} did not reach tolerance: residual {res:.3e}")
                 worst = max(worst, res)

@@ -29,7 +29,6 @@ from .decomposition import (
 from .elasticity import ElasticParams, rigid_basis
 from .fem import (
     DisplacementField,
-    SolverConfig,
     boundary_traction_moment,
     export_field,
     gradient_sq_integral,
@@ -75,11 +74,12 @@ NECK_MEASURE_FRAC = 0.95
 class ExperimentConfig:
     """One two-dimensional experiment: geometry family and its shape value
     (``m`` for power, None reading as 2; ``r0`` for flat), boundary data,
-    the mesh grading, the moduli, the solver tolerance, and the strictly
-    decreasing list of gap widths to sweep.  Every part is validated here,
-    so a bad experiment fails before anything is meshed.  The neck chart
-    radius (1), the outer radius (5) and the measurement strip are fixed.
-    The only output path is ``out_field``, set by ``solve --export-field``."""
+    the mesh grading, the moduli, and the strictly decreasing list of gap
+    widths to sweep.  Every part is validated here, so a bad experiment
+    fails before anything is meshed; the kind is stored lower-case.  The
+    neck chart radius (1), the outer radius (5) and the measurement strip
+    are fixed.  The only output path is ``out_field``, set by ``solve
+    --export-field``."""
 
     kind: str = "power"            # "power" | "flat"
     m: float | None = None
@@ -89,7 +89,6 @@ class ExperimentConfig:
     phi: str = "affine-x2"
     grading: GradingConfig = GradingConfig()
     elastic: ElasticParams = ElasticParams(lam=1.0, mu=1.0)
-    solver: SolverConfig = SolverConfig()
     out_field: str | None = None
 
     def __post_init__(self):
@@ -103,7 +102,9 @@ class ExperimentConfig:
             raise HarnessError("eps_list must be strictly decreasing")
         object.__setattr__(self, "eps_list", eps)
         resolve_phi(self.phi)   # validates the selector
-        self.profile_for(eps[0])   # validates the geometry at every eps
+        # validates the geometry at every eps; the kind is stored as the
+        # profile spells it, so "FLAT" reads as "flat" everywhere
+        object.__setattr__(self, "kind", self.profile_for(eps[0]).kind.value)
 
     def profile_for(self, eps: float) -> NeckProfile:
         """The profile at gap width ``eps``; a shape value the kind does not
@@ -188,8 +189,7 @@ def solve_point(config: ExperimentConfig, eps: float) -> SolvedPoint:
     reconstruction."""
     profile = config.profile_for(eps)
     mesh = build_mesh(profile, config.grading)
-    cells = solve_cell_problems(mesh, config.elastic, resolve_phi(config.phi),
-                                config.solver)
+    cells = solve_cell_problems(mesh, config.elastic, resolve_phi(config.phi))
     system = solve_coefficients(assemble_system(cells))
     return SolvedPoint(profile, cells, system, reconstruct(cells, system))
 

@@ -144,10 +144,9 @@ def test_criterion_6_rigid_motion_exactness():
     p = ns.make_profile("power", epsilon=1e-2, m=2.0)
     mesh = ns.build_mesh(p)
     params = ns.ElasticParams(1.0, 1.0)
-    solver = ns.SolverConfig(tol=1e-13)
     worst_nodal = worst_c = worst_moment = 0.0
     for gamma, psi in enumerate(ns.rigid_basis(2), start=1):
-        cells = ns.solve_cell_problems(mesh, params, psi, solver)
+        cells = ns.solve_cell_problems(mesh, params, psi)
         system = ns.solve_coefficients(ns.assemble_system(cells))
         u = ns.reconstruct(cells, system)
         exact = ns.interpolate(cells.solver.space, psi)

@@ -119,6 +119,20 @@ def test_integral_law_matches_rho_families():
             assert a.log_factor == b.log_factor
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_rho_law_and_oracle_reject_a_non_finite_order_or_power(value):
+    # NaN passed the m < 2 check and the oracle ended in QuadratureError;
+    # inf gave a NaN exponent
+    with pytest.raises(AsymptoticsError, match=f"^rho requires a finite m >= 2, got {value}$"):
+        rho_law(1, 2, value)
+    with pytest.raises(AsymptoticsError, match=f"^rho requires a finite k >= 1, got {value}$"):
+        rho_law(1, value, 2.0)
+    with pytest.raises(AsymptoticsError, match=f"^m must be finite and >= 2, got {value}$"):
+        ns.singular_integral_oracle(0, value, 1.0, 1e-3)
+    with pytest.raises(AsymptoticsError, match=f"^k must be finite and >= 0, got {value}$"):
+        ns.singular_integral_oracle(value, 2.0, 1.0, 1e-3)
+
+
 # ---------------------------------------------------------------------------
 # quadrature oracle
 

@@ -6,6 +6,7 @@ import pytest
 
 import neckstress.fem
 from neckstress import load_mesh, read_csv
+from neckstress.asymptotics import AsymptoticsError
 from neckstress.cli import main, oracle_table
 from neckstress.harness import HarnessError, config_from_mapping
 from neckstress.meshing import MeshingError
@@ -74,10 +75,10 @@ def test_sweep_subcommand_with_config(tmp_path, capsys, monkeypatch):
     summary = json.loads(json_path.read_text())
     assert summary["n_failed"] == 0
     assert "max_grad_u" in summary["fits"]
-    # the config echo nests the grading, moduli and solver blocks
+    # the config echo nests the grading and moduli blocks
     assert summary["config"]["grading"]["dx_min_frac"] == 0.5
     assert summary["config"]["elastic"] == {"lam": 1.0, "mu": 1.0}
-    assert summary["config"]["solver"] == {"tol": 1e-10}
+    assert "solver" not in summary["config"]
     assert summary["config"]["eps_list"] == [1e-2, 3e-3, 1e-3, 3e-4]
     assert len(calls) == 1
     slope = summary["fits"]["max_grad_u"]["slope"]
@@ -147,6 +148,16 @@ def test_oracle_subcommand_rejects_a_bad_tol(tmp_path, tol):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("order", ["inf", "nan"])
+def test_oracle_subcommand_rejects_an_order_that_is_not_finite(tmp_path, order):
+    # inf used to write "m": Infinity and "law": NaN into the report, which
+    # is not JSON; nan ended in QuadratureError without naming the order
+    out = tmp_path / "oracle.json"
+    with pytest.raises(AsymptoticsError, match=f"^rho requires a finite m >= 2, got {order}$"):
+        main(["oracle", "--dims", "2", "--orders", order, "--out", str(out)])
+    assert not out.exists()
+
+
 def test_cli_flag_overrides_config(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("profile = power\nm = 4\n")
@@ -171,8 +182,7 @@ def test_sweep_raises_a_fault_of_the_gram_entry_comparison(monkeypatch):
 @pytest.mark.parametrize("line,field,value", [
     ("layers = 6", "grading.n_layers", 6),
     ("mesh-budget = 5000", "grading.max_cells", 5000),
-    ("tol = 1e-12", "solver.tol", 1e-12),
-], ids=["layers", "mesh-budget", "tol"])
+], ids=["layers", "mesh-budget"])
 def test_config_file_takes_the_flag_name(tmp_path, monkeypatch, line, field, value):
     """A config-file key spelled like its flag sets the same field as the
     flag does."""
@@ -210,6 +220,14 @@ def test_dim_flag_is_a_usage_error(capsys):
         main(["mesh", "--dim", "2"])
     assert exc.value.code == 2
     assert "--dim" in capsys.readouterr().err
+
+
+def test_tol_flag_is_a_usage_error_outside_oracle(capsys):
+    # the linear solver takes no tolerance; oracle's --tol is its slope tolerance
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--tol", "1e-8"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_mesh_subcommand_rejects_radial_ratio_below_one(tmp_path):

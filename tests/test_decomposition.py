@@ -105,8 +105,7 @@ def test_zero_data_gives_zero(power_mesh, params):
 @pytest.mark.parametrize("gamma", [1, 2, 3])
 def test_rigid_data_propagates(power_mesh, params, gamma):
     psi = ns.rigid_basis(2)[gamma - 1]
-    cells = ns.solve_cell_problems(power_mesh, params, psi,
-                                   ns.SolverConfig(tol=1e-13))
+    cells = ns.solve_cell_problems(power_mesh, params, psi)
     system = ns.solve_coefficients(ns.assemble_system(cells))
     indicator = np.zeros(3)
     indicator[gamma - 1] = 1.0

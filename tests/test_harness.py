@@ -12,7 +12,6 @@ import pytest
 import neckstress as ns
 from neckstress.cli import main
 from neckstress.elasticity import ElasticityError
-from neckstress.fem import FemError
 from neckstress.geometry import GeometryError
 from neckstress.harness import (
     CSV_SCHEMA,
@@ -280,11 +279,11 @@ def test_config_file_rejects_garbage(tmp_path):
                                      {"out_field": "f.txt"}, {"neck_measure_frac": "0.9"},
                                      {"out_csv": "a.csv"}, {"out_json": "a.json"},
                                      {"r_neck": "1"}, {"outer_radius": "5"},
-                                     {"solver_tol": "1e-12"}])
+                                     {"solver_tol": "1e-12"}, {"tol": "1e-12"}])
 def test_config_rejects_removed_and_output_only_keys(mapping):
     # the solver path and mesh generation take no method or seed, and the
     # measurement strip, the neck chart radius and the outer radius are
-    # fixed; the solver tolerance's key is tol; output paths are flags
+    # fixed; the linear solver takes no tolerance; output paths are flags
     # only: --export-field for solve, --out and --json for sweep
     with pytest.raises(HarnessError, match="unknown config key"):
         config_from_mapping(mapping)
@@ -297,15 +296,13 @@ def test_config_rejects_removed_and_output_only_keys(mapping):
      MeshingError, "^max_cells must be >= 1, got 0"),
     ("lam", "nan", lambda: ns.ElasticParams(math.nan, 1.0),
      ElasticityError, "^lam must be finite, got nan"),
-    ("tol", "0", lambda: ns.SolverConfig(tol=0.0),
-     FemError, "^tol must be finite and > 0, got 0.0"),
     ("m", "1", lambda: ns.ExperimentConfig(m=1.0),
      GeometryError, "^order m must satisfy m >= 2, got 1.0"),
     ("profile", "bogus", lambda: ns.ExperimentConfig(kind="bogus"),
      GeometryError, "^unknown profile kind 'bogus'"),
     ("eps_list", "1e-2, nan", lambda: ns.ExperimentConfig(eps_list=(1e-2, math.nan)),
      HarnessError, "^eps_list values must be finite and > 0, got nan"),
-], ids=["layers", "mesh_budget", "lam", "tol", "m", "profile", "eps_list"])
+], ids=["layers", "mesh_budget", "lam", "m", "profile", "eps_list"])
 def test_invalid_value_fails_at_construction(monkeypatch, tmp_path, key, raw, build,
                                              error, message):
     """Each invalid value raises the typed error of the class that owns it,
@@ -325,7 +322,7 @@ def test_invalid_value_fails_at_construction(monkeypatch, tmp_path, key, raw, bu
     for command in ("mesh", "solve", "sweep"):
         with pytest.raises(error, match=message):
             main([command, "--config", str(cfg)])
-    if key in ("layers", "mesh_budget", "tol", "m", "eps_list"):   # the keys that are flags too
+    if key in ("layers", "mesh_budget", "m", "eps_list"):   # the keys that are flags too
         with pytest.raises(error, match=message):
             main(["sweep", f"--{key.replace('_', '-')}", raw.replace(" ", "")])
 
@@ -343,6 +340,14 @@ def test_a_shape_value_the_kind_does_not_take_fails_at_construction(kind, key, r
         config_from_mapping({"profile": kind, key: raw})
     with pytest.raises(GeometryError, match=message):
         main(["mesh", "--profile", kind, f"--{key}", raw])
+
+
+def test_a_kind_is_stored_as_the_profile_spells_it():
+    """make_profile reads "FLAT" as flat; the config used to keep "FLAT", so
+    the sweep was fitted and compared against the m = 2 laws."""
+    config = config_from_mapping({"profile": "FLAT", "r0": "0.3"})
+    assert config.geometry_for_rates() == ("flat", pytest.approx(0.6))
+    assert ns.sweep_summary(config, [])["config"]["kind"] == "flat"
 
 
 def test_deep_eps_neck_is_graded_to_the_gap():
@@ -488,19 +493,6 @@ def test_point_frees_its_mesh_without_the_cycle_collector(monkeypatch):
     finally:
         if was_enabled:
             gc.enable()
-
-
-def test_point_with_a_bad_tol_fails_before_meshing(monkeypatch):
-    """A solver tolerance that cannot be met fails where the config is
-    built, typed and named, and no mesh is built for it."""
-    def no_mesh(*args, **kwargs):
-        raise AssertionError("meshed a point whose tolerance is invalid")
-
-    monkeypatch.setattr(ns.harness, "build_mesh", no_mesh)
-    with pytest.raises(FemError, match="^tol must be finite and > 0"):
-        replace(FAST, solver=ns.SolverConfig(tol=0.0))
-    with pytest.raises(FemError, match="^tol must be finite and > 0"):
-        main(["solve", "--tol", "0"])
 
 
 def test_patch_energies_reuse_the_solved_point(monkeypatch):
