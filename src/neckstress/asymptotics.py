@@ -119,6 +119,9 @@ def integral_law(k: float, m: float, p: float) -> ScalingLaw:
     p*m = k+1, and scales like eps^((k+1-p*m)/m) beyond.  p = 1 reproduces
     rho1(k+1, m); p = 1/2 reproduces rho2(2(k+1), m).
     """
+    for name, value in (("k", k), ("m", m), ("p", p)):
+        if not math.isfinite(value):
+            raise AsymptoticsError(f"{name} must be finite, got {value}")
     crit = p * m
     if crit < k + 1.0 - 1e-12:
         return ScalingLaw(0.0)
@@ -209,8 +212,8 @@ def flat_entry_oracle(d: int, sigma: float, epsilon: float,
     """
     if d < 2:
         raise AsymptoticsError("d >= 2 required")
-    if sigma < 0:
-        raise AsymptoticsError("flat-set measure must be >= 0")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise AsymptoticsError(f"flat-set measure must be finite and >= 0, got {sigma}")
     if not (0.0 < epsilon < 0.5):
         raise AsymptoticsError(f"epsilon must be in (0, 1/2), got {epsilon}")
     n = n_rigid(d)
@@ -260,8 +263,8 @@ def predicted_rate(d: int, geometry) -> ScalingLaw:
             raise AsymptoticsError(f"flat-set measure must be > 0, got {value}")
         return ScalingLaw(0.0, 0, "flat-bounded")
     m = value
-    if m < 2:
-        raise AsymptoticsError("m >= 2 required")
+    if not (math.isfinite(m) and m >= 2):
+        raise AsymptoticsError(f"m must be finite and >= 2, got {m}")
     if m < d - 1:
         return ScalingLaw(-1.0, 0, "m<d-1")
     if m == d - 1:

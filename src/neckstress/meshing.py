@@ -16,6 +16,12 @@ Mesh layout (d = 2 only):
   radially.  The ray rings share the mouth-segment nodes of the neck block,
   which makes the whole triangulation conforming.
 
+Both blocks are structured: the neck block is a lattice of columns by
+layers, the outer region one of ring positions (periodic) by radial levels,
+and the mouth nodes lie on both.  ``build_mesh`` records each node's place
+in ``Mesh.lattice``, from which ``fem`` reads the nested-dissection order of
+the sparse LU.
+
 The nodes mirror exactly in x1, and the neck block's diagonals do too, so
 symmetric problems stay symmetric at the discrete level inside the neck
 block only: every annulus quad takes the same diagonal, which leaves
@@ -130,6 +136,14 @@ class Mesh:
     ``edges`` (k, 2) the boundary edges with tags in ``edge_tags``.
     Cells [0, n_neck_cells) are the neck block.  Immutable after
     construction (arrays are set read-only).
+
+    ``lattice`` (n, 4) is each node's place on the two structured blocks
+    of :func:`build_mesh`: (column, layer) on the neck block and (ring
+    position, level) on the annulus, -1 off a block; the mouth nodes are
+    on both.  Only :func:`build_mesh` sets it, and it is not saved: ``fem``
+    reads it for the nested-dissection order of a point's sparse LU, and a
+    mesh without it (hand-built, loaded or refined) is factored in SuperLU's
+    minimum-degree order instead.
     """
 
     nodes: np.ndarray
@@ -137,10 +151,12 @@ class Mesh:
     edges: np.ndarray
     edge_tags: np.ndarray
     meta: dict = field(default_factory=dict)
+    lattice: np.ndarray | None = None
 
     def __post_init__(self):
-        for a in (self.nodes, self.cells, self.edges, self.edge_tags):
-            a.setflags(write=False)
+        for a in (self.nodes, self.cells, self.edges, self.edge_tags, self.lattice):
+            if a is not None:
+                a.setflags(write=False)
 
     @property
     def n_nodes(self) -> int:
@@ -402,6 +418,12 @@ def build_mesh(profile: NeckProfile, config: GradingConfig | None = None) -> Mes
 
     all_nodes = np.vstack(nodes)
     all_cells = np.vstack([neck_cells, ann_cells])
+    # (column, layer) on the neck block, (ring position, level) on the rings
+    lattice = np.full((all_nodes.shape[0], 4), -1, dtype=np.int32)
+    lattice[nid, 0] = np.arange(nx)[:, None]
+    lattice[nid, 1] = np.arange(layers + 1)
+    lattice[ring_ids, 2] = np.arange(n0)
+    lattice[ring_ids, 3] = np.arange(n_radial + 1)[:, None]
 
     # --- boundary edges -------------------------------------------------------
     top_chain = np.concatenate([[nid[nx - 1, layers]], arc_top_ids, [nid[0, layers]]])
@@ -434,7 +456,7 @@ def build_mesh(profile: NeckProfile, config: GradingConfig | None = None) -> Mes
         "dx_min": float(dx.min()),
         "dx_max": float(dx.max()),
     }
-    mesh = Mesh(all_nodes, all_cells, edges, tags, meta)
+    mesh = Mesh(all_nodes, all_cells, edges, tags, meta, lattice)
     validate_mesh(mesh)
     return mesh
 

@@ -133,6 +133,23 @@ def test_rho_law_and_oracle_reject_a_non_finite_order_or_power(value):
         ns.singular_integral_oracle(value, 2.0, 1.0, 1e-3)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("call,message", [
+    (lambda v: integral_law(0, v, 1.0), "m must be finite"),
+    (lambda v: integral_law(v, 2.0, 1.0), "k must be finite"),
+    (lambda v: integral_law(0, 2.0, v), "p must be finite"),
+    (lambda v: ns.predicted_rate(2, ("power", v)), "m must be finite and >= 2"),
+    (lambda v: ns.flat_entry_oracle(2, v, 1e-3, (1, 1)),
+     "flat-set measure must be finite and >= 0"),
+], ids=["integral_law-m", "integral_law-k", "integral_law-p", "predicted_rate",
+        "flat_entry_oracle"])
+def test_laws_reject_a_non_finite_shape_value(call, message, value):
+    # NaN passed every comparison and came back as a NaN exponent or
+    # envelope; predicted_rate read m = inf as exponent -0.0
+    with pytest.raises(AsymptoticsError, match=f"^{message}, got {value}$"):
+        call(value)
+
+
 # ---------------------------------------------------------------------------
 # quadrature oracle
 

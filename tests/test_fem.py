@@ -435,9 +435,9 @@ def test_pcg_give_up_falls_back_to_direct(power_mesh, params, monkeypatch):
 
     factor, factored = ns.fem._factor, []
 
-    def counting_factor(a_ff):
+    def counting_factor(a_ff, lattice_ordered):
         factored.append(a_ff.shape)
-        return factor(a_ff)
+        return factor(a_ff, lattice_ordered)
 
     _pcg_only(monkeypatch)
     monkeypatch.setattr(ns.fem, "_PCG_MAXITER", 1)
@@ -549,6 +549,19 @@ def test_stiffness_equals_three_einsum_formula(power_mesh, lam, mu):
     assert np.array_equal(got.data, oracle.data)
 
 
+def test_gradient_kernels_match_their_einsum_forms(power_mesh):
+    """grad_q adds the same two products einsum does, so it is equal; the
+    whole-mesh field gradients sum their six terms in another order."""
+    space = ns.P2Space(power_mesh)
+    ghat = ns.fem._ref_grads(ns.fem._QP)
+    assert np.array_equal(space.grad_q, np.einsum("mij,qaj->mqai", space.inv_jt, ghat))
+    values = rng(5).standard_normal((3, space.n_scalar, 2))
+    want = np.einsum("...mai,mqaj->...mqij", values[..., space.cell_dofs, :], space.grad_q)
+    tol = 1e-13 * np.abs(want).max()
+    assert np.abs(ns.fem._grads_at(space, values) - want).max() <= tol
+    assert np.abs(ns.fem._grads_at(space, values[1]) - want[1]).max() <= tol
+
+
 @pytest.mark.parametrize("mesh_name", ["power_mesh", "flat_mesh"])
 def test_edge_numbering_is_the_row_wise_unique_of_the_cell_edges(request, mesh_name):
     """Edges numbered by their integer keys come in the order, and with the
@@ -565,3 +578,104 @@ def test_edge_numbering_is_the_row_wise_unique_of_the_cell_edges(request, mesh_n
     assert np.array_equal(space.cell_edges, np.stack([inv[:m], inv[m:2 * m], inv[2 * m:]], axis=1))
     midpoints = 0.5 * (mesh.nodes[uniq[:, 0]] + mesh.nodes[uniq[:, 1]])
     assert np.array_equal(space.dof_coords[mesh.n_nodes:], midpoints)
+
+
+# ---------------------------------------------------------------------------
+# nested-dissection order from the mesh lattice
+
+def _is_lattice_step(corners: np.ndarray, period: int = 0) -> np.ndarray:
+    """Per cell: all three corners are on the block and at most one step
+    apart in each lattice coordinate (the first coordinate periodic when
+    ``period``)."""
+    d = np.abs(corners[:, :, None, :] - corners[:, None, :, :])
+    if period:
+        d[..., 0] = np.minimum(d[..., 0], period - d[..., 0])
+    return np.all(corners >= 0, axis=(1, 2)) & np.all(d <= 1, axis=(1, 2, 3))
+
+
+_ROOT2 = 2.0 ** 0.5
+
+
+@pytest.mark.parametrize("kind,shape,eps,grading", [
+    ("power", {"m": 2.0}, 1e-4, ns.GradingConfig()),
+    ("power", {"m": 2.5}, 1e-4, ns.GradingConfig()),
+    ("power", {"m": 6.0}, 1e-4, ns.GradingConfig()),
+    ("flat", {"r0": 0.3, "kappa0": 4.0}, 1e-4, ns.GradingConfig()),
+    ("flat", {"r0": 0.0}, 1e-4, ns.GradingConfig()),
+    ("power", {"m": 2.0}, 2e-2, COARSE),
+    ("power", {"m": 2.0}, 1e-4, ns.GradingConfig(n_layers=2)),
+    ("power", {"m": 2.0}, 1e-4, ns.GradingConfig(budget_scale=_ROOT2)),
+    ("power", {"m": 2.0}, 1e-12, ns.GradingConfig()),
+], ids=["m2", "m2.5", "m6", "flat-r0.3", "flat-r0", "coarse", "layers2", "budget-root2",
+        "eps1e-12"])
+def test_lattice_cells_are_lattice_neighbours_and_the_order_permutes_the_free_dofs(
+        kind, shape, eps, grading):
+    mesh = ns.build_mesh(ns.make_profile(kind, epsilon=eps, **shape), grading)
+    lat = mesh.lattice
+    assert lat.shape == (mesh.n_nodes, 4)
+    on_neck, on_ring = lat[:, 0] >= 0, lat[:, 2] >= 0
+    assert np.all(on_neck | on_ring)
+    for cols, on in (([0, 1], on_neck), ([2, 3], on_ring)):
+        assert np.unique(lat[on][:, cols], axis=0).shape[0] == np.count_nonzero(on)
+    corners = lat[mesh.cells]
+    n0 = int(lat[:, 2].max()) + 1
+    assert np.all(_is_lattice_step(corners[..., :2])
+                  | _is_lattice_step(corners[..., 2:], period=n0))
+    space = ns.P2Space(mesh)
+    free = np.setdiff1d(np.arange(space.n_scalar), space.dirichlet_scalar)
+    order = ns.fem._lattice_order(space, free)
+    assert np.array_equal(np.sort(order), np.arange(free.size))
+
+
+@pytest.mark.parametrize("which", ["power_mesh", "default"])
+def test_lattice_order_cuts_the_fill_and_keeps_the_fields(request, which, params,
+                                                          monkeypatch):
+    mesh = (request.getfixturevalue("power_mesh") if which == "power_mesh"
+            else ns.build_mesh(ns.make_profile("power", epsilon=1e-4, m=2.0)))
+    bare = ns.Mesh(mesh.nodes, mesh.cells, mesh.edges, mesh.edge_tags, mesh.meta)
+    splu, factors = ns.fem.spla.splu, []
+
+    def recording_splu(*args, **kwargs):
+        lu = splu(*args, **kwargs)
+        factors.append((kwargs["permc_spec"], lu.nnz))
+        return lu
+
+    monkeypatch.setattr(ns.fem.spla, "splu", recording_splu)
+    bcs = _cell_bcs(ns.resolve_phi("affine-x2"))
+    solver = ns.DirichletSolver(mesh, params)
+    # the free dofs are renumbered in pairs, and none is lost
+    ascending = np.flatnonzero(~np.isin(np.arange(2 * solver.space.n_scalar), solver.bdofs))
+    assert np.array_equal(np.sort(solver.fdofs), ascending)
+    assert np.array_equal(solver.fdofs[1::2], solver.fdofs[0::2] + 1)
+    nd, _ = solver.solve(bcs)
+    mmd, _ = ns.DirichletSolver(bare, params).solve(bcs)
+    (spec_nd, nnz_nd), (spec_mmd, nnz_mmd) = factors
+    assert (spec_nd, spec_mmd) == ("NATURAL", "MMD_AT_PLUS_A")
+    assert nnz_nd <= 0.75 * nnz_mmd
+    for a, b in zip(nd, mmd):
+        assert np.abs(a.values - b.values).max() <= 1e-12 * np.abs(b.values).max()
+
+
+def test_a_mesh_with_no_lattice_solves_in_mmd_order_to_the_same_fields(power_mesh, params,
+                                                                        tmp_path):
+    """A loaded mesh and a hand-built one carry no lattice; translation data
+    give the same fields on the shifted mesh as on the built one."""
+    path = str(tmp_path / "mesh.txt")
+    ns.save_mesh(power_mesh, path)
+    shifted = ns.Mesh(power_mesh.nodes + np.array([0.23, -0.11]), power_mesh.cells.copy(),
+                      power_mesh.edges.copy(), power_mesh.edge_tags.copy(),
+                      dict(power_mesh.meta))
+    basis = ns.rigid_basis(2)
+    bcs = {f"v1^{al}": {BT.INCLUSION_TOP: basis[al], BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0}
+           for al in range(2)}
+    solver = ns.DirichletSolver(power_mesh, params)
+    assert solver.lattice_ordered
+    expected, _ = solver.solve(bcs)
+    for mesh in (ns.load_mesh(path), shifted):
+        assert mesh.lattice is None
+        solver = ns.DirichletSolver(mesh, params)
+        assert not solver.lattice_ordered
+        got, rep = solver.solve(bcs)
+        assert rep.method == "direct"
+        for f, e in zip(got, expected):
+            assert np.abs(f.values - e.values).max() <= 1e-12 * np.abs(e.values).max()
