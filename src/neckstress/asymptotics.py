@@ -15,7 +15,9 @@ Scaling-law conventions.  Two families govern every Gram entry:
 
 rho1(k, m) is the eps-scaling of int_0^R r^(k-1) / (eps + kappa0 r^m) dr and
 rho2(k, m) that of int_0^R r^(k/2-1) / sqrt(eps + kappa0 r^m) dr, so the
-quadrature oracle below can verify both families by slope fitting.
+quadrature oracle below can verify both families by slope fitting.  The
+oracle integrates with scipy's QUADPACK, imported on its first call, so
+importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .elasticity import n_rigid
 from .geometry import ChartError, NeckProfile
@@ -35,7 +36,7 @@ class AsymptoticsError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """QUADPACK's error estimate on an oracle panel exceeds the tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -133,53 +134,29 @@ def integral_law(k: float, m: float, p: float) -> ScalingLaw:
 # ---------------------------------------------------------------------------
 # quadrature oracle
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
 ORACLE_POWERS = (0.5, 1.0, 2.0, 3.0)
 
-
-def _gl(n: int):
-    if n not in _GL_CACHE:
-        x, w = leggauss(n)
-        _GL_CACHE[n] = (x, w)
-    return _GL_CACHE[n]
-
-
-def _panel(f, a: float, b: float, n: int) -> float:
-    x, w = _gl(n)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * float(np.sum(w * f(mid + half * x)))
-
-
-def _adaptive_panel(f, a, b, rel_tol, floor, depth=0):
-    coarse = _panel(f, a, b, 10)
-    fine = _panel(f, a, b, 20)
-    if abs(fine - coarse) <= rel_tol * max(abs(fine), floor):
-        return fine
-    if depth >= 30:
-        raise QuadratureError(
-            f"quadrature did not converge on [{a:.3e}, {b:.3e}]")
-    mid = 0.5 * (a + b)
-    return (_adaptive_panel(f, a, mid, rel_tol, floor, depth + 1)
-            + _adaptive_panel(f, mid, b, rel_tol, floor, depth + 1))
+# relative accuracy QUADPACK is asked for on each panel, and the largest
+# relative error estimate a panel may return
+_ORACLE_REL_TOL = 1e-8
 
 
 def singular_integral_oracle(k: float, m: float, p: float, epsilon: float,
-                             r_max: float = 1.0, kappa0: float = 1.0,
-                             rel_tol: float = 1e-8) -> float:
-    """int_0^r_max r^k / (eps + kappa0 r^m)^p dr by composite adaptive
-    Gauss-Legendre quadrature with panels subdividing geometrically toward
-    r = 0, where the integrand is nearly singular at scale (eps/kappa0)^(1/m).
-    """
+                             r_max: float = 1.0, kappa0: float = 1.0) -> float:
+    """int_0^r_max r^k / (eps + kappa0 r^m)^p dr: QUADPACK (``scipy.integrate.quad``)
+    on panels doubling from the near-singular scale (eps/kappa0)^(1/m), summed by
+    ``math.fsum``.  A panel whose error estimate exceeds ``_ORACLE_REL_TOL`` of
+    its value raises :class:`QuadratureError`."""
     if not (math.isfinite(k) and k >= 0):
         raise AsymptoticsError(f"k must be finite and >= 0, got {k}")
     if not (math.isfinite(m) and m >= 2):
         raise AsymptoticsError(f"m must be finite and >= 2, got {m}")
     if p not in ORACLE_POWERS:
         raise AsymptoticsError(f"power p must be one of {ORACLE_POWERS}, got {p}")
-    if epsilon <= 0 or r_max <= 0:
-        raise AsymptoticsError("epsilon and r_max must be positive")
+    for name, value in (("epsilon", epsilon), ("kappa0", kappa0), ("r_max", r_max)):
+        if not (math.isfinite(value) and value > 0):
+            raise AsymptoticsError(f"{name} must be finite and > 0, got {value}")
+    from scipy.integrate import quad
 
     def f(r):
         return r ** k / (epsilon + kappa0 * r ** m) ** p
@@ -192,10 +169,13 @@ def singular_integral_oracle(k: float, m: float, p: float, epsilon: float,
         r *= 2.0
     breaks.append(r_max)
 
-    pieces = [
-        _adaptive_panel(f, a, b, rel_tol, 1e-300)
-        for a, b in zip(breaks[:-1], breaks[1:])
-    ]
+    pieces = []
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        value, error = quad(f, a, b, epsabs=0.0, epsrel=_ORACLE_REL_TOL)
+        if error > _ORACLE_REL_TOL * abs(value):
+            raise QuadratureError(f"quadrature did not converge on [{a:.3e}, {b:.3e}]: "
+                                  f"error estimate {error:.3e} for {value:.3e}")
+        pieces.append(value)
     return math.fsum(pieces)
 
 
@@ -252,15 +232,15 @@ def flat_entry_oracle(d: int, sigma: float, epsilon: float,
 
 def predicted_rate(d: int, geometry) -> ScalingLaw:
     """Rate table of the maximal displacement gradient as a function of
-    dimension and geometry, ("power", m) or ("flat", sigma) with flat-set
-    measure sigma > 0, as ``ExperimentConfig.geometry_for_rates`` gives it.
+    dimension and geometry, ("power", m) or ("flat", sigma) with a finite
+    flat-set measure sigma > 0, as ``ExperimentConfig.geometry_for_rates`` gives it.
     Flat contact is bounded."""
     kind, value = geometry
     if d < 2:
         raise AsymptoticsError("d >= 2 required")
     if kind == "flat":
-        if not value > 0.0:
-            raise AsymptoticsError(f"flat-set measure must be > 0, got {value}")
+        if not (math.isfinite(value) and value > 0.0):
+            raise AsymptoticsError(f"flat-set measure must be > 0 and finite, got {value}")
         return ScalingLaw(0.0, 0, "flat-bounded")
     m = value
     if not (math.isfinite(m) and m >= 2):

@@ -30,9 +30,9 @@ reference counting as soon as the point is done.
 The weak form is int_Omega lam*div(u)*div(v) + 2*mu*e(u):e(v); with the
 degree-2 quadrature rule below it is integrated exactly on affine cells.
 
-Every gradient measurement goes through one kernel, ``_grads_at``, which
-takes a stack of fields: ``energy_integral`` and ``max_gradient`` measure a
-list of fields in one evaluation.
+Every gradient measurement goes through one kernel, ``_grads_at``: one small
+matrix product per cell over a stack of fields, so ``energy_integral`` and
+``max_gradient`` measure a list of fields in one evaluation.
 
 scipy's sparse stack (``sp``, ``spla``) is imported at the first assembly,
 or the first time ``sp`` or ``spla`` is read off this module, so importing
@@ -169,13 +169,10 @@ def _lattice_order(space: P2Space, free: np.ndarray) -> np.ndarray:
     mouths (dofs on both blocks) and the ray at ring position 0 separate
     the rest into two boxes, the neck block and the annulus cut open; each
     is dissected by ``_box_keys``, and the separator comes last."""
-    cells, lat = space.mesh.cells, space.mesh.lattice
+    lat = space.mesh.lattice
     n0 = int(lat[:, 2].max()) + 1      # ring positions
     nv = space.n_vertex
-    ends = np.empty((space.n_edge, 2), dtype=cells.dtype)
-    for k in range(3):
-        ends[space.cell_edges[:, k]] = cells[:, [k, (k + 1) % 3]]
-    ends = ends[free[free >= nv] - nv]
+    ends = space.edge_ends[free[free >= nv] - nv]
     head, tail = lat[ends[:, 0]], lat[ends[:, 1]]
     mid = head + tail
     mid[:, 2] += n0 * (np.abs(head[:, 2] - tail[:, 2]) > 1)
@@ -238,6 +235,7 @@ class P2Space:
         # edges lexicographically, as a row-wise unique of the pairs would
         key, inv = np.unique(pairs[:, 0] * n + pairs[:, 1], return_inverse=True)
         head, tail = np.divmod(key, n)
+        self.edge_ends = np.stack([head, tail], axis=1)     # (n_edge, 2), head < tail
         m = cells.shape[0]
         self.cell_edges = np.stack(
             [inv[:m], inv[m:2 * m], inv[2 * m:]], axis=1)
@@ -526,19 +524,16 @@ def _grads_at(space: P2Space, values: np.ndarray, cells: np.ndarray | None = Non
     stack of them (k, n_scalar, 2).  Returns (..., len(cells), len(bary), 2,
     2) on ``cells`` at the reference points ``bary``, or (..., n_cells, q, 2,
     2) on every cell at the quadrature points when ``cells`` is None."""
-    if cells is not None:
-        # the probes' few cells keep einsum, whose sums every recorded
-        # max_grad_u was measured with; the product below pays off only on
-        # whole-mesh stacks
+    if cells is None:
+        gphys, dofs = space.grad_q, space.cell_dofs
+    else:
         gphys = _physical_grads(space.inv_jt[cells], _ref_grads(bary))
-        local = values[..., space.cell_dofs[cells], :]
-        return np.einsum("...mai,mqaj->...mqij", local, gphys)
-    # every cell: one (2k x 6) @ (6 x 2q) product per cell, rows (field, i)
-    # and columns (q, j)
-    local = values.reshape(-1, *values.shape[-2:])[:, space.cell_dofs, :]
+        dofs = space.cell_dofs[cells]
+    # one (2k x 6) @ (6 x 2q) product per cell: rows (field, i), columns (q, j)
+    local = values.reshape(-1, *values.shape[-2:])[:, dofs, :]
     k, m = local.shape[:2]
     a = local.transpose(1, 0, 3, 2).reshape(m, 2 * k, 6)
-    b = space.grad_q.transpose(0, 2, 1, 3).reshape(m, 6, -1)
+    b = gphys.transpose(0, 2, 1, 3).reshape(m, 6, -1)
     g = (a @ b).reshape(m, k, 2, -1, 2).transpose(1, 0, 3, 2, 4)
     return g.reshape(*values.shape[:-2], m, -1, 2, 2)
 

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.integrate import quad
 
 import neckstress as ns
-from neckstress.asymptotics import AsymptoticsError, ScalingLaw, integral_law, rho_law
+from neckstress.asymptotics import (AsymptoticsError, QuadratureError, ScalingLaw, integral_law,
+                                    rho_law)
 
 
 
@@ -141,11 +143,13 @@ def test_rho_law_and_oracle_reject_a_non_finite_order_or_power(value):
     (lambda v: ns.predicted_rate(2, ("power", v)), "m must be finite and >= 2"),
     (lambda v: ns.flat_entry_oracle(2, v, 1e-3, (1, 1)),
      "flat-set measure must be finite and >= 0"),
+    (lambda v: ns.predicted_rate(2, ("flat", v)), "flat-set measure must be > 0 and finite"),
 ], ids=["integral_law-m", "integral_law-k", "integral_law-p", "predicted_rate",
-        "flat_entry_oracle"])
+        "flat_entry_oracle", "predicted_rate-flat"])
 def test_laws_reject_a_non_finite_shape_value(call, message, value):
     # NaN passed every comparison and came back as a NaN exponent or
-    # envelope; predicted_rate read m = inf as exponent -0.0
+    # envelope; predicted_rate read m = inf as exponent -0.0 and a flat-set
+    # measure of inf as bounded flat contact
     with pytest.raises(AsymptoticsError, match=f"^{message}, got {value}$"):
         call(value)
 
@@ -200,6 +204,28 @@ def test_oracle_validation():
         ns.singular_integral_oracle(0, 2.0, 1.7, 1e-3)
     with pytest.raises(AsymptoticsError):
         ns.singular_integral_oracle(0, 2.0, 1.0, -1e-3)
+    # epsilon = inf returned 0.0, kappa0 = 0 divided by zero, kappa0 = -1
+    # raised TypeError from a complex power, and NaN or r_max = inf ended in
+    # QuadratureError naming a panel, not the input
+    for name, value in [("epsilon", math.inf), ("epsilon", math.nan), ("epsilon", 0.0),
+                        ("kappa0", 0.0), ("kappa0", -1.0), ("kappa0", math.nan),
+                        ("kappa0", math.inf), ("r_max", math.inf), ("r_max", math.nan),
+                        ("r_max", -1.0)]:
+        args = {"epsilon": 1e-3, "kappa0": 1.0, "r_max": 1.0, name: value}
+        with pytest.raises(AsymptoticsError, match=f"^{name} must be finite and > 0, got {value}$"):
+            ns.singular_integral_oracle(0, 2.0, 1.0, **args)
+
+
+def test_oracle_raises_on_a_panel_whose_error_estimate_is_too_large(monkeypatch):
+    def loose_quad(f, a, b, **kwargs):
+        value, _ = quad(f, a, b, **kwargs)
+        return value, 2e-8 * value
+
+    monkeypatch.setattr(scipy.integrate, "quad", loose_quad)
+    r_star = 1e-4 ** 0.5
+    with pytest.raises(QuadratureError,
+                       match=rf"^quadrature did not converge on \[0\.000e\+00, {r_star:.3e}\]"):
+        ns.singular_integral_oracle(0, 2.0, 1.0, 1e-4)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

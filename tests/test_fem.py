@@ -551,7 +551,8 @@ def test_stiffness_equals_three_einsum_formula(power_mesh, lam, mu):
 
 def test_gradient_kernels_match_their_einsum_forms(power_mesh):
     """grad_q adds the same two products einsum does, so it is equal; the
-    whole-mesh field gradients sum their six terms in another order."""
+    field gradients, on every cell or on sampled cells, sum their six terms
+    in another order."""
     space = ns.P2Space(power_mesh)
     ghat = ns.fem._ref_grads(ns.fem._QP)
     assert np.array_equal(space.grad_q, np.einsum("mij,qaj->mqai", space.inv_jt, ghat))
@@ -560,6 +561,14 @@ def test_gradient_kernels_match_their_einsum_forms(power_mesh):
     tol = 1e-13 * np.abs(want).max()
     assert np.abs(ns.fem._grads_at(space, values) - want).max() <= tol
     assert np.abs(ns.fem._grads_at(space, values[1]) - want[1]).max() <= tol
+
+    cells = rng(6).choice(space.cell_dofs.shape[0], size=40, replace=False)
+    bary = ns.fem._SAMPLE_BARY
+    gphys = ns.fem._physical_grads(space.inv_jt[cells], ns.fem._ref_grads(bary))
+    want = np.einsum("...mai,mqaj->...mqij", values[..., space.cell_dofs[cells], :], gphys)
+    tol = 1e-13 * np.abs(want).max()
+    assert np.abs(ns.fem._grads_at(space, values, cells, bary) - want).max() <= tol
+    assert np.abs(ns.fem._grads_at(space, values[1], cells, bary) - want[1]).max() <= tol
 
 
 @pytest.mark.parametrize("mesh_name", ["power_mesh", "flat_mesh"])
@@ -576,6 +585,7 @@ def test_edge_numbering_is_the_row_wise_unique_of_the_cell_edges(request, mesh_n
     space = ns.P2Space(mesh)
     assert space.n_edge == uniq.shape[0]
     assert np.array_equal(space.cell_edges, np.stack([inv[:m], inv[m:2 * m], inv[2 * m:]], axis=1))
+    assert np.array_equal(space.edge_ends, uniq)
     midpoints = 0.5 * (mesh.nodes[uniq[:, 0]] + mesh.nodes[uniq[:, 1]])
     assert np.array_equal(space.dof_coords[mesh.n_nodes:], midpoints)
 
