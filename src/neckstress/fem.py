@@ -18,14 +18,11 @@ than SuperLU's minimum-degree order (4.1M against 6.7M nonzeros at m = 2,
 eps = 1e-4) and takes about half the time, for the same fields to rounding.
 The order costs a few milliseconds and needs no graph partitioner.  A mesh
 with no lattice (hand-built, loaded or refined) keeps the minimum-degree
-order, and so does the block PCG's fallback.  The solver is the one
-owner of a point's operator: it assembles the stiffness once, keeps only the
-blocks it needs, and drops the full matrix before the factorization; every
-later product with the stiffness (Gram matrix, traction moments) goes
-through it.  The solver also builds the mesh's ``P2Space`` (dof layout and
-geometry factors), and every field of the point lives on that space.  The
-mesh holds no reference back, so a point's mesh and space are freed by
-reference counting as soon as the point is done.
+order, and so does the block PCG's fallback.  The solver assembles a
+point's stiffness once and owns it (see ``DirichletSolver``); it also builds
+the mesh's ``P2Space``, on which every field of the point lives.  The mesh
+holds no reference back, so a point's mesh and space are freed by reference
+counting as soon as the point is done.
 
 The weak form is int_Omega lam*div(u)*div(v) + 2*mu*e(u):e(v); with the
 degree-2 quadrature rule below it is integrated exactly on affine cells.
@@ -55,10 +52,9 @@ _QW = np.array([1.0 / 6.0, 1.0 / 6.0, 1.0 / 6.0])
 # Systems with at most this many free dofs are solved directly.  The cap is
 # not an accuracy, physics or memory boundary: the point_fine benchmark point
 # (87,998 free dofs) solves directly in half the time at the same peak RSS,
-# but its stored reference holds the block PCG's rtol-1e-10 error
-# (max_grad_u 47.4278759245, against 47.4278755931 from the exact solve).
-# The cap and the PCG branch go once that reference is re-recorded from a
-# direct solve.
+# but its stored reference holds the block PCG's rtol-1e-10 error (max_grad_u
+# 47.4278759245, against 47.4278755931 from the exact solve).  The cap and
+# the PCG branch go once that reference is re-recorded from a direct solve.
 _DIRECT_MAX_FREE_DOFS = 50_000
 
 # block PCG relative residual target, iteration budget and incomplete-LU
@@ -106,6 +102,11 @@ def _factor(a_ff, lattice_ordered: bool):
     abandons the fill-reducing order when lam >> mu.  At lam = 1000, eps =
     1e-4 (default grading) it made 231M nonzeros in 256 s, against 6.7M in
     0.37 s without (2-core x86-64 host).
+
+    ``relax`` and ``panel_size`` keep SuperLU's defaults: no safe value made
+    the eps = 1e-4 factorization faster, and a ``relax`` of 32 or 64 with the
+    default ``panel_size`` has corrupted the heap (scipy 1.17.1).  ``splu``
+    holds the GIL, so two factorizations overlap in processes, not threads.
 
     When ``lattice_ordered``, the rows and columns are already in the
     mesh's nested-dissection order (``_lattice_order``) and SuperLU keeps
@@ -276,8 +277,7 @@ class P2Space:
                 raise FemError("boundary edge missing from mesh edge set")
             dofs = np.concatenate([sel.ravel(), self.n_vertex + pos])
             self._tag_dofs[int(tag)] = np.unique(dofs)
-        self.dirichlet_scalar = np.unique(np.concatenate(
-            [v for v in self._tag_dofs.values()]))
+        self.dirichlet_scalar = np.unique(np.concatenate(list(self._tag_dofs.values())))
 
     def tag_scalar_dofs(self, tag) -> np.ndarray:
         try:
@@ -289,11 +289,12 @@ class P2Space:
         """Assemble the vector stiffness K (CSR, interleaved dofs), afresh on
         every call."""
         _load_sparse()
-        g = self.grad_q                        # (m, q, 6, 2)
-        w = self.wdet                          # (m, q)
         lam, mu = params.lam, params.mu
-        a1 = np.einsum("mq,mqac,mqbd->macbd", w, g, g)
-        dot = np.einsum("mq,mqak,mqbk->mab", w, g, g)
+        # a1[m, a, c, b, d] = sum_q w g[a, c] g[b, d]: one (12 x q) @ (q x 12) per cell
+        m, q = self.wdet.shape
+        h = self.grad_q.reshape(m, q, 12)               # columns (a, c)
+        a1 = ((h * self.wdet[:, :, None]).transpose(0, 2, 1) @ h).reshape(m, 6, 2, 6, 2)
+        dot = a1[:, :, 0, :, 0] + a1[:, :, 1, :, 1]     # sum_q w grad phi_a . grad phi_b
         # sum_q w g[a, d] g[b, c] at [m, a, c, b, d]: a1 with c and d swapped
         a3 = a1.transpose(0, 1, 4, 3, 2)
         # in place, and the factors freed before the sparse conversion, so
@@ -303,7 +304,6 @@ class P2Space:
         k[:, :, 0, :, 0] += mu * dot
         k[:, :, 1, :, 1] += mu * dot
         del a1, a3, dot
-        m = g.shape[0]
         k = k.reshape(m, 12, 12)
 
         # int32, as scipy stores the CSR indices: int64 COO indices would
@@ -497,11 +497,11 @@ class DirichletSolver:
                 x[stalled] = _factor(self.a_ff, self.lattice_ordered).solve(rhs[stalled].T).T
                 used = "pcg->direct"
 
-        worst = 0.0
-        fields = []
+        r = (self.a_ff @ x.T).T - rhs       # every column's residual, one block product
+        worst, fields = 0.0, []
         for j, (gb, name) in enumerate(zip(gbs, bcs)):
             if rhs_norms[j] > 0.0:
-                res = float(np.linalg.norm(self.a_ff @ x[j] - rhs[j])) / rhs_norms[j]
+                res = float(np.linalg.norm(r[j])) / rhs_norms[j]
                 if res > 1e-8:
                     raise FemError(
                         f"linear solve for {name!r} did not reach tolerance: residual {res:.3e}")

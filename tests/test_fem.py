@@ -452,6 +452,30 @@ def test_pcg_give_up_falls_back_to_direct(power_mesh, params, monkeypatch):
         assert np.abs(f.values - e.values).max() <= 1e-8 * scale
 
 
+def test_a_solve_off_by_1e_6_in_one_column_raises_naming_it(power_mesh, params,
+                                                            monkeypatch):
+    """The per-column residual check: a factor whose solve scales the
+    second column by 1 + 1e-6 leaves that column a relative residual of
+    1e-6, and the solve raises naming it; the true factor passes."""
+    bcs = _cell_bcs(ns.resolve_phi("shear-twist"))
+    _, rep = ns.DirichletSolver(power_mesh, params).solve(bcs)
+    assert rep.rel_residual <= 1e-10
+    factor = ns.fem._factor
+
+    class OffFactor:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            x = self.lu.solve(b)
+            x[:, 1] *= 1.0 + 1e-6
+            return x
+
+    monkeypatch.setattr(ns.fem, "_factor", lambda *args: OffFactor(factor(*args)))
+    with pytest.raises(FemError, match=r"'v1\^2' did not reach tolerance"):
+        ns.DirichletSolver(power_mesh, params).solve(bcs)
+
+
 def test_direct_fields_equal_the_block_pcg_fields(power_mesh, params, monkeypatch):
     bcs = _cell_bcs(ns.resolve_phi("shear-twist"))
     direct, rep = ns.DirichletSolver(power_mesh, params).solve(bcs)
@@ -524,8 +548,10 @@ def test_traction_moment_closed_form_constant_stress(power_mesh, power_profile):
 
 @pytest.mark.parametrize("lam,mu", [(1.0, 1.0), (2.7, 0.6)])
 def test_stiffness_equals_three_einsum_formula(power_mesh, lam, mu):
-    """The assembled K is == the element matrices built from three separate
-    quadrature sums, lam*div*div + mu*(grad u : grad v + grad u : grad v^T)."""
+    """The assembled K has the pattern of the element matrices built from
+    three separate quadrature sums, lam*div*div + mu*(grad u : grad v + grad
+    u : grad v^T), and their entries to a few units in the last place of
+    each row's largest entry: K sums each quadrature sum in another order."""
     space = ns.fem.P2Space(power_mesh)
     g, w = space.grad_q, space.wdet
     a1 = np.einsum("mq,mqac,mqbd->macbd", w, g, g)
@@ -546,7 +572,25 @@ def test_stiffness_equals_three_einsum_formula(power_mesh, lam, mu):
     got = space.stiffness(ns.ElasticParams(lam, mu))
     assert np.array_equal(got.indptr, oracle.indptr)
     assert np.array_equal(got.indices, oracle.indices)
-    assert np.array_equal(got.data, oracle.data)
+    row_max = np.maximum.reduceat(np.abs(oracle.data), oracle.indptr[:-1])
+    scale = np.repeat(row_max, np.diff(oracle.indptr))
+    assert np.all(np.abs(got.data - oracle.data) <= 8 * 2.0 ** -52 * scale)
+
+
+@pytest.mark.parametrize("lam,mu", [(1.0, 1.0), (2.7, 0.6), (-0.5, 1.0), (1000.0, 1.0)])
+def test_stiffness_energy_of_an_affine_field_is_its_closed_form(power_mesh, lam, mu):
+    """P2 reproduces u = A x exactly, so u . K u is the constant energy
+    density lam (tr E)^2 + 2 mu E : E, E = sym A, times the mesh area.  A is
+    not symmetric, so the antisymmetric part must drop out; lam < 0 checks
+    that lam multiplies a sum and is never split as sqrt(lam)."""
+    a = np.array([[0.37, -0.21], [0.55, 0.12]])
+    space = ns.P2Space(power_mesh)
+    u = ns.interpolate(space, lambda pts: pts @ a.T).vec()
+    e = 0.5 * (a + a.T)
+    density = lam * np.trace(e) ** 2 + 2.0 * mu * np.sum(e * e)
+    area = float(np.sum(power_mesh.signed_areas()))
+    got = float(u @ (space.stiffness(ns.ElasticParams(lam, mu)) @ u))
+    assert got == pytest.approx(density * area, rel=1e-12)
 
 
 def test_gradient_kernels_match_their_einsum_forms(power_mesh):
