@@ -44,8 +44,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--kappa0", type=float)
     p.add_argument("--eps-list", dest="eps_list", help="comma-separated, decreasing")
     p.add_argument("--phi", help="affine-x2 | affine-x2x2 | shear-twist | rigid:<a> | zero")
-    p.add_argument("--mesh-budget", type=int)
-    p.add_argument("--layers", type=int)
     p.add_argument("--budget-scale", dest="budget_scale", type=float)
     p.add_argument("--out", dest="out", help="output path")
 
@@ -64,8 +62,7 @@ def _list_of(convert):
 def _config_from_args(args) -> ExperimentConfig:
     config = config_from_mapping(load_config_file(args.config) if args.config else {})
     flags = {key: getattr(args, key) for key in (
-        "profile", "m", "r0", "kappa0", "eps_list", "phi",
-        "mesh_budget", "layers", "budget_scale")}
+        "profile", "m", "r0", "kappa0", "eps_list", "phi", "budget_scale")}
     return config_from_mapping(flags, config)
 
 
@@ -97,7 +94,6 @@ def main(argv=None) -> int:
     p_or = sub.add_parser("oracle", help="quadrature oracle vs scaling laws")
     p_or.add_argument("--dims", type=_list_of(int), default="2,3,4")
     p_or.add_argument("--orders", type=_list_of(float), default="2,3,4,6")
-    p_or.add_argument("--tol", type=float, default=0.05)
     p_or.add_argument("--out", help="JSON report path")
 
     args = parser.parse_args(argv)
@@ -177,7 +173,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "oracle":
-        report = oracle_table(args.dims, args.orders, tol=args.tol)
+        report = oracle_table(args.dims, args.orders)
         for line in report["lines"]:
             print(line)
         print(f"oracle vs scaling laws: {report['n_pass']}/{report['n_cases']} PASS")
@@ -189,24 +185,26 @@ def main(argv=None) -> int:
     raise AssertionError("unreachable")
 
 
-def oracle_table(dims, orders, eps_lo: float = 1e-6, eps_hi: float = 1e-2,
-                 n_eps: int = 9, tol: float = 0.05) -> dict:
+# the oracle table's gap widths, and the largest deviation of a fitted slope
+# from its law's exponent that passes
+_ORACLE_EPS = np.logspace(-2.0, -6.0, 9)
+_ORACLE_TOL = 0.05
+
+
+def oracle_table(dims, orders) -> dict:
     """Fitted oracle exponents against the rho laws for every integrand pair
     behind the Gram-entry scaling laws; log branches use the corrected fit."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise HarnessError(f"--tol must be finite and > 0, got {tol!r}")
-    eps_grid = np.logspace(np.log10(eps_hi), np.log10(eps_lo), n_eps)
     lines = []
     cases = []
     for d in dims:
         for k, p, rho_kind, rho_k in asy.gram_integral_cases(d):
             for m in orders:
                 law = asy.rho_law(rho_kind, rho_k, m)
-                vals = [(e, asy.singular_integral_oracle(k, m, p, e)) for e in eps_grid]
+                vals = [(e, asy.singular_integral_oracle(k, m, p, e)) for e in _ORACLE_EPS]
                 fit = fit_rate(vals, law)
                 slope = fit.law_slope
                 dev = abs(slope - law.exponent)
-                ok = dev <= tol
+                ok = dev <= _ORACLE_TOL
                 tagtxt = "log" if law.log_factor else "   "
                 lines.append(
                     f"d={d} k={k} p={p:<3} m={m:<3} rho{rho_kind}({rho_k},m) {tagtxt} "
@@ -219,7 +217,7 @@ def oracle_table(dims, orders, eps_lo: float = 1e-6, eps_hi: float = 1e-2,
                     "has_log": bool(law.log_factor), "deviation": dev, "pass": bool(ok),
                 })
     return {"lines": lines, "cases": cases, "n_pass": sum(c["pass"] for c in cases),
-            "n_cases": len(cases), "tolerance": tol}
+            "n_cases": len(cases), "tolerance": _ORACLE_TOL}
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ separate them.  On the default grading it makes about a third less fill
 than SuperLU's minimum-degree order (4.1M against 6.7M nonzeros at m = 2,
 eps = 1e-4) and takes about half the time, for the same fields to rounding.
 The order costs a few milliseconds and needs no graph partitioner.  A mesh
-with no lattice (hand-built, loaded or refined) keeps the minimum-degree
+with no lattice (hand-built or loaded) keeps the minimum-degree
 order, and so does the block PCG's fallback.  The solver assembles a
 point's stiffness once and owns it (see ``DirichletSolver``); it also builds
 the mesh's ``P2Space``, on which every field of the point lives.  The mesh

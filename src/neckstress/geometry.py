@@ -37,18 +37,22 @@ class ProfileKind(enum.Enum):
 
 @dataclass(frozen=True)
 class NeckProfile:
-    """Validated neck geometry. Immutable; safe to share across threads."""
+    """Validated neck geometry. Immutable; safe to share across threads.
+
+    The neck chart radius ``r_neck`` and the outer boundary's radius
+    ``outer_radius`` are fixed."""
 
     kind: ProfileKind
     epsilon: float
     kappa0: float
     m: float | None
     r0: float
-    r_neck: float
-    outer_radius: float
+
+    r_neck = 1.0
+    outer_radius = 5.0
 
     def __post_init__(self):
-        for name in ("epsilon", "kappa0", "m", "r0", "r_neck", "outer_radius"):
+        for name in ("epsilon", "kappa0", "m", "r0"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise GeometryError(f"{name} must be finite, got {value}")
@@ -56,8 +60,6 @@ class NeckProfile:
             raise GeometryError(f"epsilon must be positive, got {self.epsilon}")
         if not (self.kappa0 > 0.0):
             raise GeometryError(f"kappa0 must be positive, got {self.kappa0}")
-        if not (self.r_neck > 0.0):
-            raise GeometryError(f"r_neck must be positive, got {self.r_neck}")
         if self.kind is ProfileKind.POWER:
             if self.m is None or self.m < 2.0:
                 raise GeometryError(f"order m must satisfy m >= 2, got {self.m}")
@@ -72,11 +74,6 @@ class NeckProfile:
                 raise GeometryError(
                     f"flat radius r0 = {self.r0} must be < r_neck = {self.r_neck}"
                 )
-        if self.outer_radius < 5.0 * self.r_neck:
-            raise GeometryError(
-                "outer boundary must be far from the inclusions: "
-                f"outer_radius >= 5*r_neck required, got {self.outer_radius}"
-            )
 
     # -- chart ---------------------------------------------------------------
 
@@ -135,14 +132,11 @@ def make_profile(
     kappa0: float = 1.0,
     m: float | None = None,
     r0: float = 0.0,
-    r_neck: float = 1.0,
-    outer_radius: float | None = None,
 ) -> NeckProfile:
     """Build and validate a :class:`NeckProfile`.
 
     ``kind`` may be a :class:`ProfileKind` or the strings "flat"/"power".
-    ``outer_radius`` defaults to 5*r_neck, the closest admissible outer
-    boundary.  Rejects epsilon <= 0, m < 2, r0 >= r_neck, non-convex
+    Rejects epsilon <= 0, m < 2, r0 >= r_neck, non-convex
     parameter combinations (kappa0 <= 0) and the other kind's shape value:
     Power with r0 != 0, Flat with any m (Power's m = None reads as 2).
     """
@@ -151,8 +145,6 @@ def make_profile(
             kind = ProfileKind(kind.lower())
         except ValueError:
             raise GeometryError(f"unknown profile kind {kind!r}") from None
-    if outer_radius is None:
-        outer_radius = 5.0 * r_neck
     if kind is ProfileKind.POWER and m is None:
         m = 2.0
     return NeckProfile(
@@ -161,8 +153,6 @@ def make_profile(
         kappa0=float(kappa0),
         m=None if m is None else float(m),
         r0=float(r0),
-        r_neck=float(r_neck),
-        outer_radius=float(outer_radius),
     )
 
 

@@ -424,8 +424,13 @@ def _calibrated_envelope(terms, eps, values):
     return coeffs, fitted, rel_misfit
 
 
-def compare_oracles(config: ExperimentConfig, rows: list[dict],
-                    tol: float = 0.15, tol_log: float = 0.25) -> dict:
+# the largest deviation of a measured a11 slope from its envelope's, for a
+# pure power law and for one with a |log eps| factor
+_ENTRY_TOL = 0.15
+_ENTRY_TOL_LOG = 0.25
+
+
+def compare_oracles(config: ExperimentConfig, rows: list[dict]) -> dict:
     """Per-entry comparison of the measured a11 slopes against the analytic
     envelopes (flat table or rho laws).
 
@@ -453,7 +458,7 @@ def compare_oracles(config: ExperimentConfig, rows: list[dict],
         coeffs, fitted, rel_misfit = _calibrated_envelope(terms, eps, vals)
         pred_fit = fit_rate(list(zip(eps, fitted)), law)
         meas_fit = fit_rate(meas, law)
-        use_tol = tol_log if meas_fit.log_factor else tol
+        use_tol = _ENTRY_TOL_LOG if meas_fit.log_factor else _ENTRY_TOL
         dev = abs(meas_fit.law_slope - pred_fit.law_slope)
         report["entries"][lab] = {
             "measured_slope": meas_fit.slope,
@@ -536,7 +541,7 @@ def load_config_file(path: str) -> dict:
 
 
 # CLI flag names (with '_' for '-') that differ from the field they set
-_FLAG_FIELDS = {"profile": "kind", "mesh_budget": "max_cells", "layers": "n_layers"}
+_FLAG_FIELDS = {"profile": "kind"}
 
 
 def _config_keys() -> dict:
@@ -563,7 +568,7 @@ def config_from_mapping(mapping: dict, base: ExperimentConfig | None = None) -> 
     """``base`` (default: the defaults) with the keys of ``mapping`` set.  A
     value that does not parse raises :class:`HarnessError` naming its key;
     one that parses but is invalid raises the typed error of the class
-    that owns it, such as ``MeshingError`` for ``n_layers = 0``."""
+    that owns it, such as ``MeshingError`` for ``n_radial = 0``."""
     base = base or ExperimentConfig()
     own, parts = {}, {}
     for key, raw in mapping.items():

@@ -6,15 +6,16 @@ Mesh layout (d = 2 only):
   triangles.  Column widths are proportional to the local gap length scale,
   so they shrink toward the thinnest part of the gap (the origin for Power
   profiles, the flat-set edge for Flat ones) with bounded geometric growth
-  away from it; each column carries ``n_layers`` element layers spanning the
-  local gap, so element heights scale with gap(x1).
+  away from it; each column carries ``_N_LAYERS * budget_scale`` element
+  layers spanning the local gap, so element heights scale with gap(x1).
 * Closure arcs: each inclusion is closed by a circular arc meeting the neck
   curve tangentially at |x1| = r_neck.
 * Outer region: the blob made of the two inclusions plus the neck is
   star-shaped about the origin, so the remaining shell is meshed by rings of
   nodes on straight rays from the blob boundary to the outer circle, graded
-  radially.  The ray rings share the mouth-segment nodes of the neck block,
-  which makes the whole triangulation conforming.
+  radially by the ratio ``_RADIAL_RATIO``.  The ray rings share the
+  mouth-segment nodes of the neck block, which makes the whole
+  triangulation conforming.
 
 Both blocks are structured: the neck block is a lattice of columns by
 layers, the outer region one of ring positions (periodic) by radial levels,
@@ -42,6 +43,12 @@ from .geometry import NeckProfile, ProfileKind
 
 FLOAT_FMT = "%.17g"
 
+# element layers across the neck gap at budget_scale 1, the growth ratio of
+# the outer rings' radial spacings, and the most cells a grading may need
+_N_LAYERS = 4
+_RADIAL_RATIO = 1.4
+_MAX_CELLS = 200_000
+
 
 class MeshingError(RuntimeError):
     """Mesh generation failed; the message names the offending region."""
@@ -59,62 +66,46 @@ class GradingConfig:
 
     ``dx_min_frac`` sets the finest neck column width as a fraction of the
     profile's gap length scale; ``dx_max_frac`` and ``arc_frac`` are caps
-    relative to r_neck.  ``budget_scale`` refines everything uniformly
-    (budget x4 corresponds to budget_scale = 2).  Generation is
-    deterministic.
+    relative to r_neck; ``n_radial`` is the fewest outer rings.
+    ``budget_scale`` refines everything uniformly (budget x4 corresponds to
+    budget_scale = 2), the neck's element layers included.  The layer
+    count, the radial growth ratio and the cell cap are the module
+    constants above.  Generation is deterministic.
     """
 
-    n_layers: int = 4
     dx_min_frac: float = 0.2
     dx_max_frac: float = 0.05
     arc_frac: float = 0.06
     n_radial: int = 10
-    radial_ratio: float = 1.4
-    max_cells: int = 200_000
     budget_scale: float = 1.0
 
     def __post_init__(self):
-        if self.n_layers < 1:
-            raise MeshingError("n_layers must be >= 1")
         if not (0.0 < self.dx_min_frac <= 1.0):
             raise MeshingError("dx_min_frac must be in (0, 1]")
         for name in ("dx_max_frac", "arc_frac"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise MeshingError(f"{name} must be finite and > 0, got {value!r}")
-        if self.max_cells < 1:
-            raise MeshingError(f"max_cells must be >= 1, got {self.max_cells!r}")
+        if self.n_radial < 1:
+            raise MeshingError(f"n_radial must be >= 1, got {self.n_radial!r}")
         if not (math.isfinite(self.budget_scale) and self.budget_scale >= 1.0):
             raise MeshingError(f"budget_scale must be finite and >= 1, got {self.budget_scale!r}")
-        # below 1 the geometric ring spacings sum to less than a ray, and
-        # radial_levels would never stop adding rings
-        if not (math.isfinite(self.radial_ratio) and self.radial_ratio >= 1.0):
-            raise MeshingError(f"radial_ratio must be finite and >= 1, got {self.radial_ratio!r}")
 
-    @property
-    def layers(self) -> int:
-        return max(1, round(self.n_layers * self.budget_scale))
 
-    def radial_levels(self, ray_length: float, first_gap: float,
-                      gap_cap: float) -> np.ndarray:
-        """Normalized ring positions in (0, 1]: geometric growth from
-        ``first_gap`` capped at ``gap_cap``, with at least ``n_radial`` rings.
+def _radial_spacings(ray_length: float, first_gap: float, gap_cap: float) -> list:
+    """Ring spacings along a ray: geometric growth by ``_RADIAL_RATIO`` from
+    ``first_gap``, capped at ``gap_cap``, until they span ``ray_length``.
 
-        Deriving the ring count from the target spacings keeps cell shapes
-        invariant under budget scaling."""
-        g = self.radial_ratio
-        incs = []
-        total, d = 0.0, first_gap
-        while total < ray_length:
-            step = min(d, gap_cap)
-            incs.append(step)
-            total += step
-            d *= g
-        while len(incs) < self.n_radial:
-            incs.append(incs[-1])
-            total += incs[-1]
-        s = np.cumsum(incs)
-        return s / s[-1]
+    Deriving the ring count from the target spacings keeps cell shapes
+    invariant under budget scaling."""
+    incs = []
+    total, d = 0.0, first_gap
+    while total < ray_length:
+        step = min(d, gap_cap)
+        incs.append(step)
+        total += step
+        d *= _RADIAL_RATIO
+    return incs
 
 
 @dataclass
@@ -142,7 +133,7 @@ class Mesh:
     position, level) on the annulus, -1 off a block; the mouth nodes are
     on both.  Only :func:`build_mesh` sets it, and it is not saved: ``fem``
     reads it for the nested-dissection order of a point's sparse LU, and a
-    mesh without it (hand-built, loaded or refined) is factored in SuperLU's
+    mesh without it (hand-built or loaded) is factored in SuperLU's
     minimum-degree order instead.
     """
 
@@ -327,15 +318,15 @@ def _chain(ids: np.ndarray, close: bool = False) -> np.ndarray:
 def build_mesh(profile: NeckProfile, config: GradingConfig | None = None) -> Mesh:
     """Triangulate the shell for a 2-d profile.
 
-    Raises :class:`MeshingError` when the grading cannot be met within
-    ``config.max_cells``, when the generated blob boundary fails the
+    Raises :class:`MeshingError` when the grading needs more than
+    ``_MAX_CELLS`` cells, when the generated blob boundary fails the
     star-shapedness check, or when :func:`validate_mesh` finds a degenerate
     or inverted cell.
     """
     if config is None:
         config = GradingConfig()
 
-    layers = config.layers
+    layers = round(_N_LAYERS * config.budget_scale)
     xs = _neck_columns(profile, config)
     nx = xs.size
     arc_top = _arc_interior_nodes(profile, config)
@@ -345,14 +336,18 @@ def build_mesh(profile: NeckProfile, config: GradingConfig | None = None) -> Mes
     # far-field cap keeps the outermost radial gaps comparable to the
     # circumferential widths there
     gap_cap = arc_h * profile.outer_radius / profile.r_neck
-    s_levels = config.radial_levels(profile.outer_radius, arc_h, gap_cap)
-    n_radial = s_levels.size
+    incs = _radial_spacings(profile.outer_radius, arc_h, gap_cap)
+    # at least n_radial rings, the last spacing repeated; counted before the
+    # rings are built so an oversized count fails the cell cap first
+    n_radial = max(len(incs), config.n_radial)
     est_cells = 2 * (nx - 1) * layers + 2 * n_ring * n_radial
-    if est_cells > config.max_cells:
+    if est_cells > _MAX_CELLS:
         raise MeshingError(
-            f"grading needs about {est_cells} cells (> budget {config.max_cells}); "
+            f"grading needs about {est_cells} cells (> budget {_MAX_CELLS}); "
             f"neck columns={nx}, ring nodes={n_ring}"
         )
+    s = np.cumsum(incs + incs[-1:] * (n_radial - len(incs)))
+    s_levels = s / s[-1]
 
     # --- neck block ---------------------------------------------------------
     tops = profile.top(xs)

@@ -6,7 +6,7 @@ import neckstress as ns
 # coarse grading for unit tests: keeps meshes small while preserving the
 # layered-neck structure the assertions rely on
 COARSE = ns.GradingConfig(dx_min_frac=0.5, dx_max_frac=0.12, arc_frac=0.15,
-                          n_radial=6, radial_ratio=1.5)
+                          n_radial=6)
 
 
 @pytest.fixture(scope="session")

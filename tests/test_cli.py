@@ -9,7 +9,6 @@ from neckstress import load_mesh, read_csv
 from neckstress.asymptotics import AsymptoticsError
 from neckstress.cli import main, oracle_table
 from neckstress.harness import HarnessError, config_from_mapping
-from neckstress.meshing import MeshingError
 
 
 def test_mesh_subcommand(tmp_path, capsys):
@@ -140,11 +139,14 @@ def test_oracle_subcommand(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
-def test_oracle_subcommand_rejects_a_bad_tol(tmp_path, tol):
-    # NaN used to reach the --out JSON as "tolerance": NaN, failing every case
+def test_oracle_subcommand_rejects_a_bad_tol(tmp_path, capsys, tol):
+    # NaN used to reach the --out JSON as "tolerance": NaN, failing every
+    # case; the slope tolerance is now fixed, so any --tol is a usage error
     out = tmp_path / "oracle.json"
-    with pytest.raises(HarnessError, match=f"^--tol must be finite and > 0, got {float(tol)!r}$"):
+    with pytest.raises(SystemExit) as exc:
         main(["oracle", "--dims", "2", "--orders", "2", "--tol", tol, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -180,9 +182,9 @@ def test_sweep_raises_a_fault_of_the_gram_entry_comparison(monkeypatch):
 
 
 @pytest.mark.parametrize("line,field,value", [
-    ("layers = 6", "grading.n_layers", 6),
-    ("mesh-budget = 5000", "grading.max_cells", 5000),
-], ids=["layers", "mesh-budget"])
+    ("profile = flat", "kind", "flat"),
+    ("budget-scale = 2", "grading.budget_scale", 2.0),
+], ids=["profile", "budget-scale"])
 def test_config_file_takes_the_flag_name(tmp_path, monkeypatch, line, field, value):
     """A config-file key spelled like its flag sets the same field as the
     flag does."""
@@ -200,10 +202,10 @@ def test_flag_overrides_a_config_key_of_either_name(tmp_path, monkeypatch):
     seen = []
     monkeypatch.setattr(neckstress.cli, "run_sweep", lambda config: seen.append(config) or [])
     cfg = tmp_path / "exp.cfg"
-    for text in ("layers = 6\n", "n_layers = 6\n", "layers = 5\nn_layers = 6\n"):
+    for text in ("profile = flat\n", "kind = flat\n", "profile = power\nkind = flat\n"):
         cfg.write_text(text)
-        assert main(["sweep", "--config", str(cfg), "--layers", "3"]) == 0
-    assert [c.grading.n_layers for c in seen] == [3, 3, 3]
+        assert main(["sweep", "--config", str(cfg), "--profile", "power"]) == 0
+    assert [c.kind for c in seen] == ["power", "power", "power"]
 
 
 def test_dim_is_not_a_config_key(tmp_path):
@@ -223,7 +225,7 @@ def test_dim_flag_is_a_usage_error(capsys):
 
 
 def test_tol_flag_is_a_usage_error_outside_oracle(capsys):
-    # the linear solver takes no tolerance; oracle's --tol is its slope tolerance
+    # the linear solver takes no tolerance
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--tol", "1e-8"])
     assert exc.value.code == 2
@@ -231,10 +233,21 @@ def test_tol_flag_is_a_usage_error_outside_oracle(capsys):
 
 
 def test_mesh_subcommand_rejects_radial_ratio_below_one(tmp_path):
+    # below 1 the ring spacings summed to less than a ray and meshing never
+    # ended; the ratio is now fixed at 1.4, so the key itself is rejected
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("radial_ratio = 0.5\n")
-    with pytest.raises(MeshingError, match="radial_ratio"):
+    with pytest.raises(HarnessError, match="^unknown config key 'radial_ratio'$"):
         main(["mesh", "--config", str(cfg), "--eps", "1e-2"])
+
+
+@pytest.mark.parametrize("flag", ["--layers", "--mesh-budget"])
+def test_removed_grading_flag_is_a_usage_error(capsys, flag):
+    # the layer count and the cell cap are fixed
+    with pytest.raises(SystemExit) as exc:
+        main(["mesh", flag, "5"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("exponent", ["nan", "inf", "-inf"])
@@ -248,17 +261,17 @@ def test_fit_subcommand_rejects_an_exponent_that_is_not_finite(tmp_path, exponen
 
 
 def test_oracle_table_structure():
-    rep = oracle_table([2], [2.0], n_eps=5)
-    assert rep["n_cases"] == 5
+    rep = oracle_table([2], [2.0])
+    assert rep["n_cases"] == 5 and rep["tolerance"] == 0.05
     assert all(set(c) >= {"d", "k", "p", "m", "fitted", "law", "pass"}
                for c in rep["cases"])
 
 
 @pytest.mark.parametrize("line, key, raw", [
     ("m = abc", "m", "abc"),
-    ("layers = 4.5", "layers", "4.5"),
+    ("n_radial = 4.5", "n_radial", "4.5"),
     ("eps_list = 1e-2, x", "eps_list", "1e-2, x"),
-], ids=["m", "layers", "eps_list"])
+], ids=["m", "n_radial", "eps_list"])
 def test_config_value_that_does_not_parse_names_its_key(tmp_path, line, key, raw):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(line + "\n")

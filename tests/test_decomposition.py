@@ -165,8 +165,7 @@ def test_frame_consistency_translation_block(power_profile, params):
     """Translating the whole geometry leaves the translation-translation
     energies unchanged (rotation entries shift with the moment arm)."""
     mesh = ns.build_mesh(power_profile, ns.GradingConfig(
-        dx_min_frac=0.5, dx_max_frac=0.12, arc_frac=0.15, n_radial=6,
-        radial_ratio=1.5))
+        dx_min_frac=0.5, dx_max_frac=0.12, arc_frac=0.15, n_radial=6))
     shift = np.array([0.23, -0.11])
     shifted = ns.Mesh(mesh.nodes + shift, mesh.cells.copy(), mesh.edges.copy(),
                       mesh.edge_tags.copy(), dict(mesh.meta))

@@ -657,10 +657,10 @@ _ROOT2 = 2.0 ** 0.5
     ("flat", {"r0": 0.3, "kappa0": 4.0}, 1e-4, ns.GradingConfig()),
     ("flat", {"r0": 0.0}, 1e-4, ns.GradingConfig()),
     ("power", {"m": 2.0}, 2e-2, COARSE),
-    ("power", {"m": 2.0}, 1e-4, ns.GradingConfig(n_layers=2)),
+    ("power", {"m": 2.0}, 1e-4, ns.GradingConfig(budget_scale=1.25)),
     ("power", {"m": 2.0}, 1e-4, ns.GradingConfig(budget_scale=_ROOT2)),
     ("power", {"m": 2.0}, 1e-12, ns.GradingConfig()),
-], ids=["m2", "m2.5", "m6", "flat-r0.3", "flat-r0", "coarse", "layers2", "budget-root2",
+], ids=["m2", "m2.5", "m6", "flat-r0.3", "flat-r0", "coarse", "layers5", "budget-root2",
         "eps1e-12"])
 def test_lattice_cells_are_lattice_neighbours_and_the_order_permutes_the_free_dofs(
         kind, shape, eps, grading):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,9 +22,15 @@ def test_flat_gap_plateau():
 
 
 def test_gap_chart_exceeded():
-    p = ns.make_profile("power", epsilon=0.01, m=2.0, r_neck=1.0)
+    p = ns.make_profile("power", epsilon=0.01, m=2.0)
     with pytest.raises(ChartError):
         ns.gap(p, 2.5)
+
+
+def test_chart_and_outer_radii_are_fixed():
+    p = ns.make_profile("flat", epsilon=1e-2, r0=0.3)
+    assert (p.r_neck, p.outer_radius, p.chart_radius) == (1.0, 5.0, 2.0)
+    assert "r_neck" not in dataclasses.asdict(p) and "outer_radius" not in dataclasses.asdict(p)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -42,11 +49,9 @@ def test_make_profile_rejects_bad_power_params(kwargs):
 
 def test_make_profile_rejects_bad_flat_params():
     with pytest.raises(GeometryError):
-        ns.make_profile("flat", epsilon=1e-2, r0=1.0, r_neck=1.0)
+        ns.make_profile("flat", epsilon=1e-2, r0=1.0)
     with pytest.raises(GeometryError):
         ns.make_profile("flat", epsilon=1e-2, r0=-0.1)
-    with pytest.raises(GeometryError):
-        ns.make_profile("power", epsilon=1e-2, m=2.0, outer_radius=3.0)
     with pytest.raises(GeometryError):
         ns.make_profile("banana", epsilon=1e-2)
 
@@ -56,8 +61,6 @@ def test_make_profile_rejects_bad_flat_params():
     ("power", "m", math.inf),
     ("power", "kappa0", math.inf),
     ("flat", "r0", math.nan),
-    ("power", "r_neck", math.inf),
-    ("power", "outer_radius", math.nan),
     ("power", "epsilon", math.inf),
 ])
 def test_make_profile_rejects_non_finite_fields(kind, field, value):

@@ -135,7 +135,8 @@ def test_run_sweep_rows(fast_rows):
 
 
 def test_failures_recorded_in_row(caplog):
-    bad = replace(FAST, eps_list=(1e-2, 1e-3), grading=replace(COARSE, max_cells=300))
+    # five times the default budget needs more cells than the fixed cap
+    bad = replace(FAST, eps_list=(1e-2, 1e-3), grading=ns.GradingConfig(budget_scale=5))
     with caplog.at_level("ERROR", logger="neckstress.harness"):
         rows = ns.run_sweep(bad)
     assert len(rows) == 2
@@ -149,9 +150,7 @@ def test_failures_recorded_in_row(caplog):
 def test_failures_listed_in_json_summary(tmp_path, fast_rows):
     out = tmp_path / "sweep.json"
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("eps_list = 1e-2, 1e-3\nmesh_budget = 300\n"
-                   "dx_min_frac = 0.5\ndx_max_frac = 0.12\narc_frac = 0.15\n"
-                   "n_radial = 6\nradial_ratio = 1.5\n")
+    cfg.write_text("eps_list = 1e-2, 1e-3\nbudget_scale = 5\n")
     assert main(["sweep", "--config", str(cfg), "--json", str(out)]) == 1
     rows = ns.run_sweep(config_from_mapping(load_config_file(str(cfg))))
     summary = json.loads(out.read_text(encoding="utf-8"))
@@ -252,7 +251,7 @@ def test_config_file_load_and_override(tmp_path):
         "r0 = 0.25\n"
         "eps-list = 1e-2, 1e-3, 1e-4, 1e-5\n"
         "phi = affine-x2x2\n"
-        "max_cells = 50000\n"
+        "n_radial = 8\n"
     )
     mapping = load_config_file(str(path))
     cfg = config_from_mapping(mapping)
@@ -260,7 +259,7 @@ def test_config_file_load_and_override(tmp_path):
     assert cfg.r0 == 0.25
     assert cfg.eps_list == (1e-2, 1e-3, 1e-4, 1e-5)
     assert cfg.phi == "affine-x2x2"
-    assert cfg.grading.max_cells == 50000
+    assert cfg.grading.n_radial == 8
     # explicit overrides win
     cfg2 = config_from_mapping({"r0": 0.1}, cfg)
     assert cfg2.r0 == 0.1 and cfg2.kind == "flat"
@@ -279,21 +278,25 @@ def test_config_file_rejects_garbage(tmp_path):
                                      {"out_field": "f.txt"}, {"neck_measure_frac": "0.9"},
                                      {"out_csv": "a.csv"}, {"out_json": "a.json"},
                                      {"r_neck": "1"}, {"outer_radius": "5"},
-                                     {"solver_tol": "1e-12"}, {"tol": "1e-12"}])
+                                     {"solver_tol": "1e-12"}, {"tol": "1e-12"},
+                                     {"layers": "6"}, {"n_layers": "6"},
+                                     {"mesh_budget": "5000"}, {"max_cells": "5000"},
+                                     {"radial_ratio": "1.5"}])
 def test_config_rejects_removed_and_output_only_keys(mapping):
     # the solver path and mesh generation take no method or seed, and the
-    # measurement strip, the neck chart radius and the outer radius are
-    # fixed; the linear solver takes no tolerance; output paths are flags
-    # only: --export-field for solve, --out and --json for sweep
+    # measurement strip, the neck chart radius, the outer radius, the neck
+    # layer count, the radial growth ratio and the cell cap are fixed; the
+    # linear solver takes no tolerance; output paths are flags only:
+    # --export-field for solve, --out and --json for sweep
     with pytest.raises(HarnessError, match="unknown config key"):
         config_from_mapping(mapping)
 
 
 @pytest.mark.parametrize("key, raw, build, error, message", [
-    ("layers", "0", lambda: ns.GradingConfig(n_layers=0),
-     MeshingError, "^n_layers must be >= 1"),
-    ("mesh_budget", "0", lambda: ns.GradingConfig(max_cells=0),
-     MeshingError, "^max_cells must be >= 1, got 0"),
+    ("budget_scale", "0.5", lambda: ns.GradingConfig(budget_scale=0.5),
+     MeshingError, "^budget_scale must be finite and >= 1, got 0.5"),
+    ("n_radial", "0", lambda: ns.GradingConfig(n_radial=0),
+     MeshingError, "^n_radial must be >= 1, got 0"),
     ("lam", "nan", lambda: ns.ElasticParams(math.nan, 1.0),
      ElasticityError, "^lam must be finite, got nan"),
     ("m", "1", lambda: ns.ExperimentConfig(m=1.0),
@@ -302,7 +305,7 @@ def test_config_rejects_removed_and_output_only_keys(mapping):
      GeometryError, "^unknown profile kind 'bogus'"),
     ("eps_list", "1e-2, nan", lambda: ns.ExperimentConfig(eps_list=(1e-2, math.nan)),
      HarnessError, "^eps_list values must be finite and > 0, got nan"),
-], ids=["layers", "mesh_budget", "lam", "m", "profile", "eps_list"])
+], ids=["budget_scale", "n_radial", "lam", "m", "profile", "eps_list"])
 def test_invalid_value_fails_at_construction(monkeypatch, tmp_path, key, raw, build,
                                              error, message):
     """Each invalid value raises the typed error of the class that owns it,
@@ -322,7 +325,7 @@ def test_invalid_value_fails_at_construction(monkeypatch, tmp_path, key, raw, bu
     for command in ("mesh", "solve", "sweep"):
         with pytest.raises(error, match=message):
             main([command, "--config", str(cfg)])
-    if key in ("layers", "mesh_budget", "m", "eps_list"):   # the keys that are flags too
+    if key in ("budget_scale", "m", "eps_list"):   # the keys that are flags too
         with pytest.raises(error, match=message):
             main(["sweep", f"--{key.replace('_', '-')}", raw.replace(" ", "")])
 

@@ -23,7 +23,7 @@ def test_importing_and_meshing_load_no_scipy(tmp_path):
         import contextlib, io, sys
         import neckstress, neckstress.cli
         from neckstress import meshing
-        grading = meshing.GradingConfig(n_layers=2, dx_min_frac=0.4, dx_max_frac=0.1,
+        grading = meshing.GradingConfig(dx_min_frac=0.4, dx_max_frac=0.1,
                                         arc_frac=0.12, n_radial=6)
         mesh = meshing.build_mesh(neckstress.make_profile("power", epsilon=1e-2, m=2.0),
                                   grading)
@@ -31,7 +31,7 @@ def test_importing_and_meshing_load_no_scipy(tmp_path):
         meshing.save_mesh(mesh, "mesh.txt")
         assert meshing.load_mesh("mesh.txt").n_cells == mesh.n_cells
         with contextlib.redirect_stdout(io.StringIO()):
-            assert neckstress.cli.main(["mesh", "--eps", "1e-1", "--layers", "2",
+            assert neckstress.cli.main(["mesh", "--eps", "1e-1",
                                         "--out", "cli_mesh.txt"]) == 0
             try:
                 neckstress.cli.main(["--help"])

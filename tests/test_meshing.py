@@ -91,9 +91,10 @@ def test_neck_columns_symmetric(power_mesh):
 
 
 def test_budget_error():
+    # five times the default budget needs more cells than the fixed cap
     p = ns.make_profile("power", epsilon=1e-4, m=2.0)
-    with pytest.raises(MeshingError, match="budget"):
-        ns.build_mesh(p, GradingConfig(max_cells=500))
+    with pytest.raises(MeshingError, match=r"^grading needs about \d+ cells \(> budget 200000\)"):
+        ns.build_mesh(p, GradingConfig(budget_scale=5))
 
 
 @pytest.mark.parametrize("kind, shape, eps, x1", [
@@ -108,12 +109,19 @@ def test_neck_grading_that_cannot_move_raises(kind, shape, eps, x1):
         ns.build_mesh(p, COARSE)
 
 
-@pytest.mark.parametrize("ratio", [0.5, 0.999, float("nan"), float("inf")])
-def test_radial_ratio_below_one_or_non_finite_is_rejected(ratio):
-    # below 1 the ring spacings sum to less than a ray and meshing never ends
+@pytest.mark.parametrize("n_radial", [0, -1])
+def test_n_radial_below_one_is_rejected(n_radial):
+    # these used to mesh silently, with the rings of n_radial = 1
+    with pytest.raises(MeshingError, match=rf"^n_radial must be >= 1, got {n_radial}$"):
+        GradingConfig(n_radial=n_radial)
+
+
+def test_a_huge_n_radial_fails_the_cell_cap_before_any_ring_is_built():
+    # the rings are counted before they are built; padding a million of them
+    # in Python used to come first
     p = ns.make_profile("power", epsilon=1e-2, m=2.0)
-    with pytest.raises(MeshingError, match="radial_ratio"):
-        ns.build_mesh(p, GradingConfig(radial_ratio=ratio))
+    with pytest.raises(MeshingError, match=r"^grading needs about \d+ cells \(> budget 200000\)"):
+        ns.build_mesh(p, GradingConfig(n_radial=10 ** 6))
 
 
 @pytest.mark.parametrize("field, value", [
