@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import replace
@@ -42,8 +41,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--m", type=float, help="relative-convexity order (power)")
     p.add_argument("--r0", type=float, help="flat-set radius (flat)")
     p.add_argument("--kappa0", type=float)
-    p.add_argument("--eps-list", dest="eps_list", help="comma-separated, decreasing")
-    p.add_argument("--phi", help="affine-x2 | affine-x2x2 | shear-twist | rigid:<a> | zero")
     p.add_argument("--budget-scale", dest="budget_scale", type=float)
     p.add_argument("--out", dest="out", help="output path")
 
@@ -60,8 +57,9 @@ def _list_of(convert):
 
 
 def _config_from_args(args) -> ExperimentConfig:
+    # a flag the subcommand does not take reads as None: the file's value
     config = config_from_mapping(load_config_file(args.config) if args.config else {})
-    flags = {key: getattr(args, key) for key in (
+    flags = {key: getattr(args, key, None) for key in (
         "profile", "m", "r0", "kappa0", "eps_list", "phi", "budget_scale")}
     return config_from_mapping(flags, config)
 
@@ -84,12 +82,14 @@ def main(argv=None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="run the eps sweep")
     _add_common(p_sweep)
+    p_sweep.add_argument("--eps-list", dest="eps_list", help="comma-separated, decreasing")
+    for p in (p_solve, p_sweep):   # mesh reads no boundary data
+        p.add_argument("--phi", help="affine-x2 | affine-x2x2 | shear-twist | rigid:<a> | zero")
     p_sweep.add_argument("--json", help="summary JSON path")
 
     p_fit = sub.add_parser("fit", help="fit rates from an existing sweep CSV")
     p_fit.add_argument("csv", help="sweep CSV file")
     p_fit.add_argument("--column", default="max_grad_u")
-    p_fit.add_argument("--exponent", type=float, help="predicted exponent")
 
     p_or = sub.add_parser("oracle", help="quadrature oracle vs scaling laws")
     p_or.add_argument("--dims", type=_list_of(int), default="2,3,4")
@@ -164,12 +164,7 @@ def main(argv=None) -> int:
         samples = [(r["eps"], r[args.column]) for r in rows
                    if r["status"] == "ok" and np.isfinite(r[args.column])
                    and r[args.column] > 0]
-        if args.exponent is not None and not math.isfinite(args.exponent):
-            # json.dumps would print it as NaN or Infinity, which is not JSON
-            raise HarnessError(f"--exponent must be finite, got {args.exponent!r}")
-        law = None if args.exponent is None else asy.ScalingLaw(args.exponent)
-        fit = fit_rate(samples, law)
-        print(json.dumps(fit.as_dict(), indent=2))
+        print(json.dumps(fit_rate(samples).as_dict(), indent=2))
         return 0
 
     if args.command == "oracle":

@@ -73,13 +73,13 @@ NECK_MEASURE_FRAC = 0.95
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One two-dimensional experiment: geometry family and its shape value
-    (``m`` for power, None reading as 2; ``r0`` for flat), boundary data,
-    the mesh grading, the moduli, and the strictly decreasing list of gap
-    widths to sweep.  Every part is validated here, so a bad experiment
-    fails before anything is meshed; the kind is stored lower-case.  The
-    neck chart radius (1), the outer radius (5) and the measurement strip
-    are fixed.  The only output path is ``out_field``, set by ``solve
-    --export-field``."""
+    (``m`` for power, None reading as 2; ``r0`` for flat), boundary data, the
+    mesh grading, ``lam`` read as lambda/mu with mu = 1 the unit of stress,
+    and the strictly decreasing list of gap widths to sweep.  Every part is
+    validated here, so a bad experiment fails before anything is meshed; the
+    kind is stored lower-case.  The neck chart radius (1), the outer radius
+    (5) and the measurement strip are fixed.  The only output path is
+    ``out_field``, set by ``solve --export-field``."""
 
     kind: str = "power"            # "power" | "flat"
     m: float | None = None
@@ -88,7 +88,7 @@ class ExperimentConfig:
     eps_list: tuple = field(default_factory=default_eps_list)
     phi: str = "affine-x2"
     grading: GradingConfig = GradingConfig()
-    elastic: ElasticParams = ElasticParams(lam=1.0, mu=1.0)
+    lam: float = 1.0
     out_field: str | None = None
 
     def __post_init__(self):
@@ -102,6 +102,7 @@ class ExperimentConfig:
             raise HarnessError("eps_list must be strictly decreasing")
         object.__setattr__(self, "eps_list", eps)
         resolve_phi(self.phi)   # validates the selector
+        ElasticParams(self.lam, 1.0)    # validates the ratio
         # validates the geometry at every eps; the kind is stored as the
         # profile spells it, so "FLAT" reads as "flat" everywhere
         object.__setattr__(self, "kind", self.profile_for(eps[0]).kind.value)
@@ -189,7 +190,7 @@ def solve_point(config: ExperimentConfig, eps: float) -> SolvedPoint:
     reconstruction."""
     profile = config.profile_for(eps)
     mesh = build_mesh(profile, config.grading)
-    cells = solve_cell_problems(mesh, config.elastic, resolve_phi(config.phi))
+    cells = solve_cell_problems(mesh, ElasticParams(config.lam, 1.0), resolve_phi(config.phi))
     system = solve_coefficients(assemble_system(cells))
     return SolvedPoint(profile, cells, system, reconstruct(cells, system))
 

@@ -282,13 +282,12 @@ def closure_arc(profile: NeckProfile):
     return c, rad
 
 
-def _arc_interior_nodes(profile: NeckProfile, config: GradingConfig):
-    """Interior sample points of the top closure arc, right junction to left.
+def _arc_interior_nodes(profile: NeckProfile, config: GradingConfig, c: float, rad: float):
+    """Interior sample points of the top closure arc (c, rad), right junction to left.
 
     Built from a half-arc and mirrored so the coordinates are exactly
     symmetric in x1.
     """
-    c, rad = closure_arc(profile)
     xc = profile.r_neck
     yt = profile.top(xc)
     phi_r = math.atan2(yt - c, xc)
@@ -329,7 +328,8 @@ def build_mesh(profile: NeckProfile, config: GradingConfig | None = None) -> Mes
     layers = round(_N_LAYERS * config.budget_scale)
     xs = _neck_columns(profile, config)
     nx = xs.size
-    arc_top = _arc_interior_nodes(profile, config)
+    c_top, rad = closure_arc(profile)
+    arc_top = _arc_interior_nodes(profile, config, c_top, rad)
     n_arc = arc_top.shape[0]
     n_ring = 2 * (layers + 1) + 2 * n_arc
     arc_h = config.arc_frac * profile.r_neck / config.budget_scale
@@ -392,10 +392,16 @@ def build_mesh(profile: NeckProfile, config: GradingConfig | None = None) -> Mes
     theta = np.unwrap(np.arctan2(ring_xy[:, 1], ring_xy[:, 0]))
     dtheta = np.diff(theta)
     if np.any(dtheta <= 0.0):
+        # it turns back at the arc junction once eps + h1(r_neck) >= r_neck h1'(r_neck)
         bad = ring_xy[np.argmin(dtheta)]
+        law = "kappa0 (m - 1) / 2" if profile.m is not None else "kappa0 (1 - r0^2) / 2"
+        xc = profile.r_neck
+        bound = float(xc * profile.dh1(xc) - profile.h1(xc))
         raise MeshingError(
             f"inner boundary is not star-shaped about the origin near "
-            f"({bad[0]:.3g}, {bad[1]:.3g}); adjust closure or outer radius"
+            f"({bad[0]:.3g}, {bad[1]:.3g}): the wall meets the closure arc too high; "
+            f"this needs eps < {law} = {bound:.3g}, got eps = {profile.epsilon:.3g} "
+            f"with kappa0 = {profile.kappa0:.3g}"
         )
 
     # --- radial rings to the outer circle ------------------------------------
@@ -434,9 +440,7 @@ def build_mesh(profile: NeckProfile, config: GradingConfig | None = None) -> Mes
     tags = np.concatenate([np.full(len(e), tag, dtype=np.int8) for e, tag in chains])
 
     dx = np.diff(xs)
-    c_top, rad = closure_arc(profile)
     meta = {
-        "x_cut": profile.r_neck,
         "arc_center_y": c_top,
         "arc_radius": rad,
         "n_layers": layers,
@@ -446,8 +450,6 @@ def build_mesh(profile: NeckProfile, config: GradingConfig | None = None) -> Mes
         "kappa0": profile.kappa0,
         "m": 0.0 if profile.m is None else profile.m,
         "r0": profile.r0,
-        "r_neck": profile.r_neck,
-        "outer_radius": profile.outer_radius,
         "dx_min": float(dx.min()),
         "dx_max": float(dx.max()),
     }

@@ -74,9 +74,9 @@ def test_sweep_subcommand_with_config(tmp_path, capsys, monkeypatch):
     summary = json.loads(json_path.read_text())
     assert summary["n_failed"] == 0
     assert "max_grad_u" in summary["fits"]
-    # the config echo nests the grading and moduli blocks
+    # the config echo nests the grading block; the moduli are one ratio
     assert summary["config"]["grading"]["dx_min_frac"] == 0.5
-    assert summary["config"]["elastic"] == {"lam": 1.0, "mu": 1.0}
+    assert summary["config"]["lam"] == 1.0 and "elastic" not in summary["config"]
     assert "solver" not in summary["config"]
     assert summary["config"]["eps_list"] == [1e-2, 3e-3, 1e-3, 3e-4]
     assert len(calls) == 1
@@ -93,11 +93,9 @@ def test_fit_subcommand(tmp_path, capsys):
     csv_path = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(csv_path)]) == 0
     capsys.readouterr()
-    rc = main(["fit", str(csv_path), "--column", "max_grad_u",
-               "--exponent", "-0.5"])
+    rc = main(["fit", str(csv_path), "--column", "max_grad_u"])
     assert rc == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["predicted_exponent"] == -0.5
     assert -0.65 < data["slope"] < -0.35
 
 
@@ -250,14 +248,21 @@ def test_removed_grading_flag_is_a_usage_error(capsys, flag):
     assert flag in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("exponent", ["nan", "inf", "-inf"])
-def test_fit_subcommand_rejects_an_exponent_that_is_not_finite(tmp_path, exponent):
-    # json.dumps used to print it as NaN or Infinity, which is not JSON
-    path = tmp_path / "sweep.csv"
-    rows = "".join(f"{e},ok,{1.0 / e}\n" for e in (1e-1, 1e-2, 1e-3, 1e-4))
-    path.write_text(f"# neckstress-v1\neps,status,max_grad_u\n{rows}")
-    with pytest.raises(HarnessError, match=f"^--exponent must be finite, got {exponent}$"):
-        main(["fit", str(path), f"--exponent={exponent}"])
+def test_settings_no_command_reads_are_rejected(tmp_path, capsys):
+    # mu is the unit of stress (lam is read as lambda/mu); mesh reads no
+    # boundary data and no gap list, solve no gap list, and fit no exponent
+    cfg = tmp_path / "mu.cfg"
+    cfg.write_text("mu = 2\n")
+    with pytest.raises(HarnessError, match="^unknown config key 'mu'$"):
+        main(["solve", "--config", str(cfg)])
+    for argv, flag in ((["mesh", "--phi", "zero"], "--phi"),
+                       (["mesh", "--eps-list", "1e-2"], "--eps-list"),
+                       (["solve", "--eps-list", "1e-2"], "--eps-list"),
+                       (["fit", "f.csv", "--exponent", "-0.5"], "--exponent")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 def test_oracle_table_structure():

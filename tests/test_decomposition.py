@@ -128,6 +128,31 @@ def test_pipeline_linearity(power_mesh, params, power_cells, power_system):
     assert np.abs(u2.values - 2.0 * u1.values).max() < 1e-9 * scale
 
 
+@pytest.mark.parametrize("lam, mu", [(1.0, 1.0), (2.0, 0.5)])
+@pytest.mark.parametrize("s", [2.0, 0.37])
+def test_mu_is_the_unit_of_stress(power_mesh, lam, mu, s):
+    """The moduli enter only through lam/mu: scaling both by s leaves every
+    field and rigid-motion coefficient as it is and scales the Gram entries
+    by s, which is why an experiment sets only lam, with mu = 1."""
+    phi = ns.resolve_phi("shear-twist")
+    runs = []
+    for scale in (1.0, s):
+        cells = ns.solve_cell_problems(power_mesh, ns.ElasticParams(scale * lam, scale * mu),
+                                       phi)
+        system = ns.solve_coefficients(ns.assemble_system(cells))
+        fields = [cells.v[key].values for key in sorted(cells.v)]
+        fields += [cells.v3.values, ns.reconstruct(cells, system).values]
+        runs.append((fields, system.c1, system.diff, system.a11 / scale))
+    (fields, c1, diff, a11), (fields_s, c1_s, diff_s, a11_s) = runs
+
+    def rel(a, b):
+        return np.abs(a - b).max() / np.abs(a).max()
+
+    assert max(rel(f, g) for f, g in zip(fields, fields_s)) <= 1e-12
+    assert rel(c1, c1_s) <= 1e-12 and rel(diff, diff_s) <= 1e-12
+    assert rel(a11, a11_s) <= 1e-12
+
+
 def test_reconstruct_requires_solved(power_cells, params):
     unsolved = ns.assemble_system(power_cells)
     with pytest.raises(DecompositionError):

@@ -37,7 +37,7 @@ def test_mesh_invariants_power(power_profile, power_mesh):
 
 def test_boundary_nodes_on_curves(power_profile, power_mesh):
     p, mesh = power_profile, power_mesh
-    xc = mesh.meta["x_cut"]
+    xc = ns.NeckProfile.r_neck
     cy = mesh.meta["arc_center_y"]
     rad = mesh.meta["arc_radius"]
     scale = p.outer_radius
@@ -107,6 +107,19 @@ def test_neck_grading_that_cannot_move_raises(kind, shape, eps, x1):
     with pytest.raises(MeshingError, match=rf"^neck grading stalls at x1 = {x1!r}: "
                                            rf".*\(eps = {eps:.3g}\)$"):
         ns.build_mesh(p, COARSE)
+
+
+@pytest.mark.parametrize("kind, shape, eps, law", [
+    ("power", {}, 0.6, r"kappa0 \(m - 1\) / 2 = 0\.5"),
+    ("flat", {"r0": 0.5}, 0.5, r"kappa0 \(1 - r0\^2\) / 2 = 0\.375"),
+], ids=["power", "flat"])
+def test_star_shape_error_names_the_junction_bound(kind, shape, eps, law):
+    # it used to say "adjust closure or outer radius", and neither is settable
+    p = ns.make_profile(kind, epsilon=eps, **shape)
+    with pytest.raises(MeshingError, match=r"^inner boundary is not star-shaped .*: the wall "
+                                           rf"meets the closure arc too high; this needs eps < "
+                                           rf"{law}, got eps = {eps} with kappa0 = 1$"):
+        ns.build_mesh(p)
 
 
 @pytest.mark.parametrize("n_radial", [0, -1])
@@ -193,6 +206,19 @@ def test_mesh_file_without_neck_widths_loads_with_zero(tmp_path, power_mesh):
     assert (rep.dx_min, rep.dx_max) == (0.0, 0.0)
     assert replace(rep, dx_min=power_mesh.grading_report.dx_min,
                    dx_max=power_mesh.grading_report.dx_max) == power_mesh.grading_report
+
+
+def test_mesh_file_with_the_fixed_radii_in_meta_loads(tmp_path, power_mesh):
+    # files written before the radii became NeckProfile constants carry them
+    text = dumps_mesh(power_mesh).replace(
+        f"meta {len(power_mesh.meta)}\n",
+        f"meta {len(power_mesh.meta) + 3}\nouter_radius = 5\nr_neck = 1\nx_cut = 1\n")
+    path = tmp_path / "old.txt"
+    path.write_text(text, encoding="utf-8")
+    loaded = ns.load_mesh(str(path))
+    assert np.array_equal(loaded.nodes, power_mesh.nodes)
+    assert loaded.grading_report == power_mesh.grading_report
+    assert loaded.meta["x_cut"] == 1.0
 
 
 def test_mesh_build_deterministic(power_profile):
