@@ -22,6 +22,7 @@ from .harness import (
     TEXT_COLUMNS,
     ExperimentConfig,
     HarnessError,
+    column_samples,
     compare_oracles,
     config_from_mapping,
     fit_rate,
@@ -142,7 +143,7 @@ def main(argv=None) -> int:
         fit = summary["fits"].get("max_grad_u")
         if fit:
             print(f"max|grad u| slope = {fit['slope']:.4f} (R2 = {fit['r2']:.4f}), "
-                  f"predicted {fit['predicted_exponent']}")
+                  f"predicted {summary['predicted_rate']['exponent']}")
         try:
             cmp_report = compare_oracles(config, rows)
             print("gram-entry comparison: "
@@ -150,10 +151,9 @@ def main(argv=None) -> int:
         except (HarnessError, asy.AsymptoticsError) as exc:
             # fewer than 4 ok rows, or an eps outside the rho laws' (0, 1/2)
             print(f"gram-entry comparison skipped: {exc}")
-        failed = [r for r in rows if r["status"] != "ok"]
-        if failed:
-            print(f"{len(failed)} of {len(rows)} points failed")
-        return 0 if not failed else 1
+        if summary["n_failed"]:
+            print(f"{summary['n_failed']} of {len(rows)} points failed")
+        return 1 if summary["n_failed"] else 0
 
     if args.command == "fit":
         rows = read_csv(args.csv)
@@ -161,10 +161,7 @@ def main(argv=None) -> int:
             raise HarnessError(f"{args.csv}: no column {args.column!r}")
         if args.column in TEXT_COLUMNS:
             raise HarnessError(f"{args.csv}: column {args.column!r} is not numeric")
-        samples = [(r["eps"], r[args.column]) for r in rows
-                   if r["status"] == "ok" and np.isfinite(r[args.column])
-                   and r[args.column] > 0]
-        print(json.dumps(fit_rate(samples).as_dict(), indent=2))
+        print(json.dumps(fit_rate(column_samples(rows, args.column)).as_dict(), indent=2))
         return 0
 
     if args.command == "oracle":
@@ -196,8 +193,7 @@ def oracle_table(dims, orders) -> dict:
             for m in orders:
                 law = asy.rho_law(rho_kind, rho_k, m)
                 vals = [(e, asy.singular_integral_oracle(k, m, p, e)) for e in _ORACLE_EPS]
-                fit = fit_rate(vals, law)
-                slope = fit.law_slope
+                slope = fit_rate(vals, law).law_slope
                 dev = abs(slope - law.exponent)
                 ok = dev <= _ORACLE_TOL
                 tagtxt = "log" if law.log_factor else "   "

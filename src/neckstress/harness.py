@@ -106,6 +106,8 @@ class ExperimentConfig:
         # validates the geometry at every eps; the kind is stored as the
         # profile spells it, so "FLAT" reads as "flat" everywhere
         object.__setattr__(self, "kind", self.profile_for(eps[0]).kind.value)
+        if asy.predicted_rate(2, self.geometry_for_rates()).log_factor and eps[0] >= 1.0:
+            raise HarnessError(f"eps_list values must be < 1 under a |log eps| law, got {eps[0]!r}")
 
     def profile_for(self, eps: float) -> NeckProfile:
         """The profile at gap width ``eps``; a shape value the kind does not
@@ -159,10 +161,7 @@ def run_point(config: ExperimentConfig, eps: float) -> dict:
     "error" so a sweep can continue.  With ``config.out_field`` set, the
     reconstructed field is also exported there."""
     row = {k: float("nan") for k in CSV_COLUMNS}
-    row["eps"] = eps
-    row["status"] = "ok"
-    row["message"] = ""
-    row["solver_method"] = ""
+    row.update(eps=eps, status="ok", message="", solver_method="")
     try:
         _measure_point(config, eps, row)
     except Exception as exc:  # recorded, not raised: sweeps must continue
@@ -204,9 +203,7 @@ def _measure_point(config: ExperimentConfig, eps: float, row: dict):
     row["n_cells"] = u.space.mesh.n_cells
     row["max_grad_u"] = gmax
     row["argmax_x1"], row["argmax_x2"] = where
-    labels = ["11", "12", "13", "22", "23", "33"]
-    for lab in labels:
-        al, be = int(lab[0]), int(lab[1])
+    for lab, (al, be) in {**DIAG_ENTRIES, **OFFDIAG_ENTRIES}.items():
         row[f"a11_{lab}"] = system.a11[al - 1, be - 1]
     for al in range(1, 4):
         row[f"cdiff_{al}"] = abs(system.diff[al - 1])
@@ -221,8 +218,7 @@ def _measure_point(config: ExperimentConfig, eps: float, row: dict):
     row["b_agree_rel"] = float(
         np.linalg.norm(b_tr - system.b1) / max(np.linalg.norm(system.b1), 1e-300))
 
-    sums = sum_field_check(cells, region)
-    for al, (val, _) in sums.items():
+    for al, (val, _) in sum_field_check(cells, region).items():
         row[f"sumgrad_{al}"] = val
     row["solver_iters"] = cells.report.iterations
     row["solver_method"] = cells.report.method
@@ -308,48 +304,45 @@ class RateFit:
     slope: float
     intercept: float
     r2: float
-    predicted_exponent: float | None = None
-    log_factor: int = 0
     corrected_slope: float | None = None
     corrected_r2: float | None = None
 
     @property
     def law_slope(self) -> float:
         """The slope to set against the law's exponent."""
-        return self.corrected_slope if self.log_factor else self.slope
+        return self.slope if self.corrected_slope is None else self.corrected_slope
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """The fields that hold a value: what the fit measured, no law."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def fit_rate(samples, law: asy.ScalingLaw | None = None) -> RateFit:
-    """samples: iterable of (eps, value), all values positive, >= 4 points.
-
-    ``law`` sets predicted_exponent and the log-correction factor.
-    """
+    """samples: iterable of (eps, value), >= 4 points with two distinct eps,
+    each eps and value finite and > 0.  A ``law`` with a |log eps| factor adds
+    the corrected fit, and then every eps must be < 1, where it vanishes."""
     pairs = [(float(e), float(v)) for e, v in samples]
     if len(pairs) < 4:
         raise HarnessError(f"need at least 4 samples for a fit, got {len(pairs)}")
-    if any(v <= 0.0 for _, v in pairs):
-        raise HarnessError("rate fitting requires positive values")
-    eps = np.array([e for e, _ in pairs])
-    val = np.array([v for _, v in pairs])
-
-    pred_exp = None if law is None else law.exponent
+    eps, val = (np.array(column) for column in zip(*pairs))
+    for name, xs in (("eps", eps), ("value", val)):
+        if not np.all(np.isfinite(xs) & (xs > 0.0)):
+            raise HarnessError(f"rate fitting requires every {name} finite and > 0")
+    if np.unique(eps).size < 2:
+        raise HarnessError("rate fitting requires at least two distinct eps")
     log_factor = 0 if law is None else law.log_factor
-    slope, intercept, r2 = _loglog_fit(eps, val)
-    corrected_slope = corrected_r2 = None
-    if log_factor != 0:
-        corr = val / np.abs(np.log(eps)) ** log_factor
-        corrected_slope, _, corrected_r2 = _loglog_fit(eps, corr)
-    return RateFit(tuple(eps), tuple(val), slope, intercept, r2,
-                   pred_exp, log_factor, corrected_slope, corrected_r2)
+    if log_factor and eps.max() >= 1.0:
+        raise HarnessError("a |log eps| law requires every eps < 1")
+    fit = RateFit(tuple(eps), tuple(val), *_loglog_fit(eps, val))
+    if log_factor:
+        corrected = val / np.abs(np.log(eps)) ** log_factor
+        fit.corrected_slope, _, fit.corrected_r2 = _loglog_fit(eps, corrected)
+    return fit
 
 
 def _loglog_fit(eps, val):
     x = np.log(eps)
     y = np.log(val)
-    n = x.size
     xm, ym = x.mean(), y.mean()
     sxx = float(np.sum((x - xm) ** 2))
     sxy = float(np.sum((x - xm) * (y - ym)))
@@ -361,30 +354,34 @@ def _loglog_fit(eps, val):
     return slope, intercept, r2
 
 
+def column_samples(rows: list[dict], column: str) -> list[tuple]:
+    """(eps, value) of ``column`` in the ok rows whose value is finite and
+    positive: the samples every rate fit of a sweep's column reads."""
+    return [(r["eps"], r[column]) for r in rows
+            if r["status"] == "ok" and np.isfinite(r[column]) and r[column] > 0]
+
+
 def sweep_summary(config: ExperimentConfig, rows: list[dict]) -> dict:
-    """Fits for the standard measured quantities, the eps and exception
-    type of each failed point, and the config echo."""
-    ok = [r for r in rows if r["status"] == "ok"]
+    """The config echo, its ``predicted_rate`` law of ``max_grad_u``, the fit
+    of each standard column with at least 4 samples (:func:`column_samples`),
+    and the eps and exception type of each failed point."""
+    law = asy.predicted_rate(2, config.geometry_for_rates())
+    failed = [r for r in rows if r["status"] != "ok"]
     summary = {
         "config": asdict(config),
         "n_rows": len(rows),
-        "n_failed": len(rows) - len(ok),
+        "n_failed": len(failed),
         # run_point records failures as "<exception type>: <text>"
         "failures": [{"eps": r["eps"], "error": r["message"].split(":", 1)[0],
-                      "message": r["message"]} for r in rows if r["status"] != "ok"],
+                      "message": r["message"]} for r in failed],
+        "predicted_rate": asdict(law),
         "fits": {},
     }
-    if len(ok) >= 4:
-        pred = asy.predicted_rate(2, config.geometry_for_rates())
-        for col in ("max_grad_u", "a11_11", "a11_33", "cdiff_1", "cdiff_2",
-                    "cdiff_3", "sumgrad_1", "sumgrad_2", "sumgrad_3",
-                    "maxgrad_v11"):
-            vals = [(r["eps"], r[col]) for r in ok
-                    if np.isfinite(r[col]) and r[col] > 0]
-            if len(vals) >= 4:
-                p = pred if col == "max_grad_u" else None
-                summary["fits"][col] = fit_rate(vals, p).as_dict()
-        summary["predicted_rate"] = asdict(pred)
+    for col in ("max_grad_u", "a11_11", "a11_33", "cdiff_1", "cdiff_2",
+                "cdiff_3", "sumgrad_1", "sumgrad_2", "sumgrad_3", "maxgrad_v11"):
+        samples = column_samples(rows, col)
+        if len(samples) >= 4:
+            summary["fits"][col] = fit_rate(samples, law if col == "max_grad_u" else None).as_dict()
     return summary
 
 
@@ -453,13 +450,12 @@ def compare_oracles(config: ExperimentConfig, rows: list[dict]) -> dict:
         if any(v <= 0 for _, v in meas):
             report["entries"][lab] = {"pass": False, "reason": "nonpositive diagonal"}
             continue
-        eps = [e for e, _ in meas]
-        vals = [v for _, v in meas]
+        eps, vals = zip(*meas)
         law, terms = _entry_envelope(geometry, al, be)
         coeffs, fitted, rel_misfit = _calibrated_envelope(terms, eps, vals)
         pred_fit = fit_rate(list(zip(eps, fitted)), law)
         meas_fit = fit_rate(meas, law)
-        use_tol = _ENTRY_TOL_LOG if meas_fit.log_factor else _ENTRY_TOL
+        use_tol = _ENTRY_TOL if meas_fit.corrected_slope is None else _ENTRY_TOL_LOG
         dev = abs(meas_fit.law_slope - pred_fit.law_slope)
         report["entries"][lab] = {
             "measured_slope": meas_fit.slope,
@@ -527,8 +523,9 @@ def patch_energy_profile(point: SolvedPoint, z_list) -> list[tuple[float, float]
 def load_config_file(path: str) -> dict:
     """key = value lines; '#' starts a comment.  A key is a CLI flag name
     or the name of the field it sets, on ``ExperimentConfig`` or one of its
-    parts, with '-' or '_'; values are parsed like CLI arguments."""
-    out = {}
+    parts, with '-' or '_'; values are parsed like CLI arguments.  Two lines
+    that set one field raise :class:`HarnessError` naming both."""
+    out, lines = {}, {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.split("#", 1)[0].strip()
@@ -537,7 +534,12 @@ def load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise HarnessError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (s.strip() for s in line.split("=", 1))
-            out[key.replace("-", "_")] = value
+            key = key.replace("-", "_")
+            name = _FLAG_FIELDS.get(key, key)
+            first = lines.setdefault(name, lineno)
+            if first != lineno:
+                raise HarnessError(f"{path}:{lineno}: {name!r} set again, first on line {first}")
+            out[key] = value
     return out
 
 

@@ -117,6 +117,57 @@ def test_fit_subcommand_rejects_a_text_column(tmp_path):
         main(["fit", str(path), "--column", "status"])
 
 
+@pytest.mark.parametrize("eps, message", [
+    ((1e-1, 0.0, 1e-3, 1e-4), "every eps finite and > 0"),
+    ((1e-1, "nan", 1e-3, 1e-4), "every eps finite and > 0"),
+    ((1e-2, 1e-2, 1e-2, 1e-2), "at least two distinct eps"),
+], ids=["zero", "nan", "repeated"])
+def test_fit_subcommand_rejects_eps_that_make_the_fit_meaningless(tmp_path, eps, message):
+    # a 0 or NaN eps used to print a NaN slope and exit 0, and one eps
+    # repeated to end in ZeroDivisionError
+    path = tmp_path / "sweep.csv"
+    rows = "".join(f"{e},ok,{1.0 + i}\n" for i, e in enumerate(eps))
+    path.write_text(f"# neckstress-v1\neps,status,max_grad_u\n{rows}")
+    with pytest.raises(HarnessError, match=f"^rate fitting requires {message}$"):
+        main(["fit", str(path)])
+
+
+# the coarse sweep of the CI workflow: four points, about a second
+COARSE_CFG = ("dx_min_frac = 0.5\ndx_max_frac = 0.12\narc_frac = 0.15\nn_radial = 6\n"
+              "eps-list = 1e-2, 5e-3, 2.5e-3, 1.25e-3\n")
+
+
+def _coarse_sweep(tmp_path, *flags):
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text(COARSE_CFG)
+    csv_path, json_path = tmp_path / "s.csv", tmp_path / "s.json"
+    assert main(["sweep", "--config", str(cfg), *flags, "--out", str(csv_path),
+                 "--json", str(json_path)]) == 0
+    return csv_path, json.loads(json_path.read_text())
+
+
+def test_fit_subcommand_prints_the_sweep_fit_of_each_column(tmp_path, capsys):
+    # the sweep's max_grad_u fit used to repeat the predicted law, which fit
+    # printed as null
+    csv_path, summary = _coarse_sweep(tmp_path)
+    assert len(summary["fits"]) == 10
+    for column, fit in summary["fits"].items():
+        capsys.readouterr()
+        assert main(["fit", str(csv_path), "--column", column]) == 0
+        assert json.loads(capsys.readouterr().out) == fit
+
+
+def test_sweep_json_corrects_only_the_fit_under_a_log_law(tmp_path):
+    # at m = 3 in d = 2 the law of max_grad_u carries a |log eps| factor
+    _, summary = _coarse_sweep(tmp_path, "--m", "3", "--phi", "shear-twist")
+    assert summary["predicted_rate"]["log_factor"] == -1
+    corrected = [c for c, fit in summary["fits"].items() if "corrected_slope" in fit]
+    assert corrected == ["max_grad_u"]
+    for fit in summary["fits"].values():
+        assert not {"predicted_exponent", "log_factor"} & set(fit)
+        assert None not in fit.values()
+
+
 @pytest.mark.parametrize("flag", ["--dims", "--orders"])
 def test_oracle_subcommand_rejects_a_list_item_that_does_not_parse(flag, capsys):
     # int()/float() used to end in a ValueError traceback
@@ -200,10 +251,10 @@ def test_flag_overrides_a_config_key_of_either_name(tmp_path, monkeypatch):
     seen = []
     monkeypatch.setattr(neckstress.cli, "run_sweep", lambda config: seen.append(config) or [])
     cfg = tmp_path / "exp.cfg"
-    for text in ("profile = flat\n", "kind = flat\n", "profile = power\nkind = flat\n"):
+    for text in ("profile = flat\n", "kind = flat\n"):
         cfg.write_text(text)
         assert main(["sweep", "--config", str(cfg), "--profile", "power"]) == 0
-    assert [c.kind for c in seen] == ["power", "power", "power"]
+    assert [c.kind for c in seen] == ["power", "power"]
 
 
 def test_dim_is_not_a_config_key(tmp_path):

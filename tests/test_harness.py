@@ -4,7 +4,7 @@ import math
 import re
 import types
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -80,6 +80,29 @@ def test_fit_rate_validation():
         ns.fit_rate([(1e-1, 1.0), (1e-2, 2.0)])
     with pytest.raises(HarnessError):
         ns.fit_rate([(1e-1, 1.0), (1e-2, -2.0), (1e-3, 1.0), (1e-4, 1.0)])
+
+
+@pytest.mark.parametrize("eps, law, message", [
+    ((1e-1, 0.0, 1e-3, 1e-4), None, "^rate fitting requires every eps finite and > 0$"),
+    ((1e-1, math.nan, 1e-3, 1e-4), None, "^rate fitting requires every eps finite and > 0$"),
+    ((1e-1, 1e-2, 1e-3, math.inf), None, "^rate fitting requires every eps finite and > 0$"),
+    ((1e-2,) * 4, None, "^rate fitting requires at least two distinct eps$"),
+    ((2.0, 1.0, 0.5, 0.25), ns.predicted_rate(2, ("power", 3.0)),
+     r"^a \|log eps\| law requires every eps < 1$"),
+], ids=["zero", "nan", "inf", "repeated", "log-law-eps-1"])
+def test_fit_rate_rejects_eps_that_make_the_fit_meaningless(eps, law, message):
+    # these used to give a NaN slope, a ZeroDivisionError, or a corrected
+    # fit through |log 1| = 0
+    with pytest.raises(HarnessError, match=message):
+        ns.fit_rate([(e, 1.0 + i) for i, e in enumerate(eps)], law)
+
+
+def test_config_rejects_eps_of_one_or_more_under_a_log_law():
+    # the sweep's fit of max_grad_u divides out |log eps|, which is 0 at
+    # eps = 1; such a sweep used to solve every point first
+    with pytest.raises(HarnessError, match=r"^eps_list values must be < 1 under a \|log eps\| law, got 1.0$"):
+        ns.ExperimentConfig(m=3.0, kappa0=4.0, eps_list=(1.0, 0.5, 0.25, 0.125))
+    ns.ExperimentConfig(m=2.0, kappa0=4.0, eps_list=(1.0, 0.5, 0.25, 0.125))
 
 
 def test_config_eps_must_decrease():
@@ -203,9 +226,15 @@ def test_sweep_summary_fits(fast_rows):
     summary = ns.sweep_summary(FAST, fast_rows)
     assert summary["n_failed"] == 0
     assert "max_grad_u" in summary["fits"]
-    fit = summary["fits"]["max_grad_u"]
-    assert fit["predicted_exponent"] == pytest.approx(-0.5)
+    assert summary["predicted_rate"]["exponent"] == pytest.approx(-0.5)
     assert json.dumps(summary)   # serializable
+
+
+def test_sweep_summary_states_the_law_without_a_fit(fast_rows):
+    # predicted_rate used to be left out when fewer than 4 points succeeded
+    summary = ns.sweep_summary(FAST, fast_rows[:3])
+    assert summary["fits"] == {}
+    assert summary["predicted_rate"] == asdict(ns.predicted_rate(2, ("power", 2.0)))
 
 
 def _power_entry(m):
@@ -263,6 +292,23 @@ def test_config_file_load_and_override(tmp_path):
     # explicit overrides win
     cfg2 = config_from_mapping({"r0": 0.1}, cfg)
     assert cfg2.r0 == 0.1 and cfg2.kind == "flat"
+
+
+@pytest.mark.parametrize("first, again, name", [
+    ("m = 2", "m = 4", "m"),
+    ("profile = flat", "kind = power", "kind"),
+    ("eps_list = 1e-2, 1e-3", "eps-list = 1e-3, 1e-4", "eps_list"),
+], ids=["m", "profile-kind", "eps_list-eps-list"])
+def test_config_file_rejects_a_field_set_twice(tmp_path, monkeypatch, first, again, name):
+    # the last line used to win silently
+    monkeypatch.setattr(ns.cli, "build_mesh", None)   # fails before meshing
+    path = tmp_path / "twice.cfg"
+    path.write_text(f"# twice\n{first}\nkappa0 = 2\n{again}\n")
+    message = f"^{re.escape(str(path))}:4: {name!r} set again, first on line 2$"
+    with pytest.raises(HarnessError, match=message):
+        load_config_file(str(path))
+    with pytest.raises(HarnessError, match=message):
+        main(["mesh", "--config", str(path)])
 
 
 def test_config_file_rejects_garbage(tmp_path):
