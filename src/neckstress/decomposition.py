@@ -12,11 +12,10 @@ the inclusion boundaries.  That condition is the symmetric linear system
     sum_{i,a} C_i[a] * a_ij[a,b] = b_j[b],    a_ij[a,b] = (C e(v_i[a]), e(v_j[b]))_Omega,
 
 whose Gram matrix and loads are formed here as V^T (K V) over the seven
-fields, with K V taken from the blocks of the stiffness K that the cell
-problems' solver holds.  Volume energy quadrature of all seven fields at
-once (one stacked gradient evaluation and one contraction) cross-checks
-them; the harness cross-checks the loads once more against their
-boundary-traction form.
+fields, with the K V that the cell problems' block solve returns.  Volume
+energy quadrature of all seven fields at once (one stacked gradient
+evaluation and one contraction) cross-checks them; the harness
+cross-checks the loads once more against their boundary-traction form.
 """
 
 from __future__ import annotations
@@ -43,14 +42,16 @@ class DecompositionError(RuntimeError):
 @dataclass
 class CellSolutions:
     """The d(d+1)/2 + 1 cell problems solved on one mesh, with the solver
-    that solved them: it holds the stiffness blocks that the Gram matrix and
-    the traction moments are formed from, and no factorization."""
+    that solved them (it holds the stiffness blocks that the traction
+    moments are formed from, and no factorization) and K V, the stiffness
+    times each field, that the Gram matrix is formed from."""
 
     solver: DirichletSolver
     v: dict                     # (i, alpha) -> DisplacementField, 1-based
     v3: DisplacementField
     report: SolveReport
     basis: list
+    kv: np.ndarray              # columns v1[.], v2[.], v3, as the fields
 
     @property
     def n_alpha(self) -> int:
@@ -70,8 +71,8 @@ def solve_cell_problems(mesh: Mesh, params: ElasticParams, phi) -> CellSolutions
     bcs["v3"] = {BoundaryTag.INCLUSION_TOP: 0.0, BoundaryTag.INCLUSION_BOTTOM: 0.0,
                  BoundaryTag.OUTER: phi}
     ds = DirichletSolver(mesh, params)
-    fields, report = ds.solve(bcs)
-    return CellSolutions(ds, dict(zip(keys, fields)), fields[-1], report, basis)
+    fields, report, kv = ds.solve(bcs)
+    return CellSolutions(ds, dict(zip(keys, fields)), fields[-1], report, basis, kv)
 
 
 @dataclass
@@ -105,18 +106,17 @@ class CoefficientSystem:
 def assemble_system(cells: CellSolutions) -> CoefficientSystem:
     """Form the Gram matrix a_ij and loads b_j as ``V^T (K V)``.
 
-    V holds the seven fields (v1[.], v2[.], v3) as columns; K V comes from
-    the stiffness blocks of the cells' solver (``stiffness_product``), and
-    the product is symmetrized.  One ``energy_integral`` call forms the same
-    matrix by volume energy quadrature, which reads the fields' gradients
-    and not K, with the moduli of the solver that formed K; a gap above
-    1e-8 relative in the Gram block or the loads indicates a discretization
-    fault and raises.
+    V holds the seven fields (v1[.], v2[.], v3) as columns; K V is the one
+    the cells' block solve returned, and the product is symmetrized.  One
+    ``energy_integral`` call forms the same matrix by volume energy
+    quadrature, which reads the fields' gradients and not K, with the
+    moduli of the solver that formed K; a gap above 1e-8 relative in the
+    Gram block or the loads indicates a discretization fault and raises.
     """
     n = cells.n_alpha
     fields = [cells.v[(i, al)] for i in (1, 2) for al in range(1, n + 1)] + [cells.v3]
     v = np.column_stack([f.vec() for f in fields])
-    g = v.T @ cells.solver.stiffness_product(v)
+    g = v.T @ cells.kv
     g = 0.5 * (g + g.T)
     quad = energy_integral(cells.solver.params, fields)
     defect = 0.0

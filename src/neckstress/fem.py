@@ -365,8 +365,9 @@ class DirichletSolver:
     eliminated operator ``a_ff`` (CSC), the free-boundary coupling (negated,
     ``neg_a_fb``: the load of a boundary datum) and the boundary rows
     ``a_b`` (all columns; their boundary-boundary part is small).  The full K
-    is gone before the factorization starts.  ``stiffness_product`` forms
-    K v from the blocks for the Gram matrix and the traction moments.
+    is gone before the factorization starts.  ``solve`` returns K v of
+    every field it solves, for the Gram matrix; the traction moments read
+    the rows of ``a_b`` they pair with.
 
     All problems of one ``solve`` share one factorization, which is released
     when the solve returns.  Up to ``_DIRECT_MAX_FREE_DOFS`` free dofs it is
@@ -408,16 +409,6 @@ class DirichletSolver:
         # rows of K, so the traction residual at the boundary is the full
         # product's bit for bit
         self.a_b = a[self.bdofs]
-
-    def stiffness_product(self, v: np.ndarray) -> np.ndarray:
-        """K v for a vector or column block over all ``2 n_scalar`` dofs.
-
-        The boundary rows equal the full product's; the free rows are
-        ``a_ff v_f + a_fb v_b``, the same sum in another order."""
-        out = np.empty(v.shape)
-        out[self.fdofs] = self.a_ff @ v[self.fdofs] - self.neg_a_fb @ v[self.bdofs]
-        out[self.bdofs] = self.a_b @ v
-        return out
 
     def _boundary_values(self, bc: dict) -> np.ndarray:
         """The datum at the Dirichlet dofs, in ``bdofs`` order."""
@@ -467,21 +458,26 @@ class DirichletSolver:
             iterations += 1
         return iterations, active
 
-    def solve(self, bcs: dict) -> tuple[list[DisplacementField], SolveReport]:
+    def solve(self, bcs: dict) -> tuple[list[DisplacementField], SolveReport, np.ndarray]:
         """Solve one Dirichlet problem per entry of ``bcs`` (field name ->
         dict from each boundary tag to its datum) with one factorization.
 
-        Returns the fields, in the order of ``bcs``, and one report for the
-        block: the most iterations any column took, the worst relative
-        residual, and method ``"direct"`` (at most
-        ``_DIRECT_MAX_FREE_DOFS`` free dofs: one sparse LU, 0 iterations),
-        ``"pcg"``, ``"pcg->direct"`` (columns unconverged after the PCG
-        budget are solved by the same sparse LU) or ``"trivial"`` (every
-        load is zero).  A column with zero load is never solved; its free
-        dofs are zero.  A relative residual above 1e-8 raises ``FemError``."""
+        Returns the fields, in the order of ``bcs``, one report for the
+        block, and K V, the stiffness times each field as the columns of a
+        (2 n_scalar, len(bcs)) array.  The free rows of K V are the solve
+        residuals, ``a_ff v_f + a_fb v_b``; the boundary rows equal the full
+        product's bit for bit.  The report holds the most iterations any
+        column took, the worst relative residual, and method ``"direct"``
+        (at most ``_DIRECT_MAX_FREE_DOFS`` free dofs: one sparse LU, 0
+        iterations), ``"pcg"``, ``"pcg->direct"`` (columns unconverged after
+        the PCG budget are solved by the same sparse LU) or ``"trivial"``
+        (every load is zero).  A column with zero load is never solved; its
+        free dofs are zero.  A relative residual above 1e-8 raises
+        ``FemError``."""
         space = self.space
         gbs = [self._boundary_values(bc) for bc in bcs.values()]
-        rhs = np.stack([self.neg_a_fb @ gb for gb in gbs])
+        # every load in one block product; rows stay C-contiguous for the norms
+        rhs = np.ascontiguousarray((self.neg_a_fb @ np.column_stack(gbs)).T)
         rhs_norms = [float(np.linalg.norm(b)) for b in rhs]
         live = [j for j, nb in enumerate(rhs_norms) if nb > 0.0]
 
@@ -510,7 +506,10 @@ class DirichletSolver:
             full[self.bdofs] = gb
             full[self.fdofs] = x[j]
             fields.append(DisplacementField(space, full.reshape(-1, 2), name))
-        return fields, SolveReport(iterations, worst, used)
+        kv = np.empty((2 * space.n_scalar, len(fields)))
+        kv[self.fdofs] = r.T
+        kv[self.bdofs] = self.a_b @ np.column_stack([f.vec() for f in fields])
+        return fields, SolveReport(iterations, worst, used), kv
 
 
 def interpolate(space: P2Space, fn, name: str = "interp") -> DisplacementField:
@@ -632,16 +631,17 @@ def boundary_traction_moment(solver: DirichletSolver, field: DisplacementField,
     the inclusion for inclusion boundaries, out of the domain for the outer
     one.  Raw differentiation of the FEM solution on the boundary would lose
     an order of accuracy; pairing the interior residual with an extension of
-    psi is exact for the discrete traction functional.  The residual K u is
-    the solver's ``stiffness_product``, so the field must live on the
-    solver's mesh and the moment uses the solver's elastic parameters.
+    psi is exact for the discrete traction functional.  The tag's dofs are
+    Dirichlet dofs, so only their rows of K u are formed, from the solver's
+    boundary rows ``a_b``: the field must live on the solver's mesh and the
+    moment uses the solver's elastic parameters.
     """
     space = field.space
     if space is not solver.space:
         raise FemError("field and solver live on different meshes")
     dofs = space.tag_scalar_dofs(tag)       # raises on unknown tag
-    r = solver.stiffness_product(field.vec())
-    rx, ry = r[2 * dofs], r[2 * dofs + 1]
+    rows = np.searchsorted(solver.bdofs, np.concatenate([2 * dofs, 2 * dofs + 1]))
+    rx, ry = np.split(solver.a_b[rows] @ field.vec(), 2)
     sign = 1.0 if int(tag) == int(BoundaryTag.OUTER) else -1.0
     out = []
     for motion in motions:

@@ -571,15 +571,20 @@ def config_from_mapping(mapping: dict, base: ExperimentConfig | None = None) -> 
     """``base`` (default: the defaults) with the keys of ``mapping`` set.  A
     value that does not parse raises :class:`HarnessError` naming its key;
     one that parses but is invalid raises the typed error of the class
-    that owns it, such as ``MeshingError`` for ``n_radial = 0``."""
+    that owns it, such as ``MeshingError`` for ``n_radial = 0``.  Two keys
+    that set one field (``profile`` and ``kind``) raise
+    :class:`HarnessError` naming both."""
     base = base or ExperimentConfig()
-    own, parts = {}, {}
+    own, parts, keys = {}, {}, {}
     for key, raw in mapping.items():
         if raw is None:
             continue
         name = _FLAG_FIELDS.get(key, key)
         if name not in _CONFIG_KEYS:
             raise HarnessError(f"unknown config key {name!r}")
+        first = keys.setdefault(name, key)
+        if first != key:
+            raise HarnessError(f"config keys {first!r} and {key!r} both set {name!r}")
         owner, ftype = _CONFIG_KEYS[name]
         try:
             if ftype is tuple:   # eps_list: comma-separated on a config line

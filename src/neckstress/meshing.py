@@ -11,11 +11,12 @@ Mesh layout (d = 2 only):
 * Closure arcs: each inclusion is closed by a circular arc meeting the neck
   curve tangentially at |x1| = r_neck.
 * Outer region: the blob made of the two inclusions plus the neck is
-  star-shaped about the origin, so the remaining shell is meshed by rings of
-  nodes on straight rays from the blob boundary to the outer circle, graded
-  radially by the ratio ``_RADIAL_RATIO``.  The ray rings share the
-  mouth-segment nodes of the neck block, which makes the whole
-  triangulation conforming.
+  star-shaped about the origin and inside the outer circle (a closure arc
+  whose apex is not is rejected before any node is built), so the
+  remaining shell is meshed by rings of nodes on straight rays from the
+  blob boundary to the outer circle, graded radially by the ratio
+  ``_RADIAL_RATIO``.  The ray rings share the mouth-segment nodes of the
+  neck block, which makes the whole triangulation conforming.
 
 Both blocks are structured: the neck block is a lattice of columns by
 layers, the outer region one of ring positions (periodic) by radial levels,
@@ -317,7 +318,9 @@ def _chain(ids: np.ndarray, close: bool = False) -> np.ndarray:
 def build_mesh(profile: NeckProfile, config: GradingConfig | None = None) -> Mesh:
     """Triangulate the shell for a 2-d profile.
 
-    Raises :class:`MeshingError` when the grading needs more than
+    Raises :class:`MeshingError` when the neck grading stalls, when the top
+    closure arc's apex is not strictly inside the outer circle (checked
+    before any node is built), when the grading needs more than
     ``_MAX_CELLS`` cells, when the generated blob boundary fails the
     star-shapedness check, or when :func:`validate_mesh` finds a degenerate
     or inverted cell.
@@ -329,6 +332,15 @@ def build_mesh(profile: NeckProfile, config: GradingConfig | None = None) -> Mes
     xs = _neck_columns(profile, config)
     nx = xs.size
     c_top, rad = closure_arc(profile)
+    # the apex is the blob node farthest from the origin; on or beyond the
+    # outer circle its ray turns inward and some annulus cell inverts
+    apex = c_top + rad
+    if not apex < profile.outer_radius:
+        raise MeshingError(
+            f"closure arc apex at x2 = {apex:.4g} is not inside the outer circle of "
+            f"radius {profile.outer_radius:.4g} (kappa0 = {profile.kappa0:.3g}, "
+            f"r_neck = {profile.r_neck:.3g}, eps = {profile.epsilon:.3g})"
+        )
     arc_top = _arc_interior_nodes(profile, config, c_top, rad)
     n_arc = arc_top.shape[0]
     n_ring = 2 * (layers + 1) + 2 * n_arc

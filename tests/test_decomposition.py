@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -65,10 +63,11 @@ def test_energy_integral_matches_stiffness_gram(power_mesh, power_cells, lam):
     """The quadrature matrix of the seven cell fields is the symmetrized
     V^T (K V) to rounding, also for an admissible negative lam."""
     params_ = ns.ElasticParams(lam, 1.0)
-    solver = power_cells.solver if lam == 1.0 else ns.DirichletSolver(power_mesh, params_)
-    fields = [power_cells.v[(i, al)] for i in (1, 2) for al in (1, 2, 3)] + [power_cells.v3]
+    cells = power_cells if lam == 1.0 else ns.solve_cell_problems(
+        power_mesh, params_, ns.resolve_phi("affine-x2"))
+    fields = [cells.v[(i, al)] for i in (1, 2) for al in (1, 2, 3)] + [cells.v3]
     v = np.column_stack([f.vec() for f in fields])
-    g = v.T @ solver.stiffness_product(v)
+    g = v.T @ cells.kv
     g = 0.5 * (g + g.T)
     quad = ns.energy_integral(params_, fields)
     assert np.abs(quad - g).max() <= 1e-12 * np.abs(g).max()
@@ -200,9 +199,9 @@ def test_frame_consistency_translation_block(power_profile, params):
         cells = {}
         ds = ns.DirichletSolver(m, params_)
         basis = ns.rigid_basis(2)
-        fields, _ = ds.solve({f"v1^{al}": {BT.INCLUSION_TOP: basis[al],
-                                           BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0}
-                              for al in range(2)})
+        fields, _, _ = ds.solve({f"v1^{al}": {BT.INCLUSION_TOP: basis[al],
+                                              BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0}
+                                 for al in range(2)})
         return ns.energy_integral(params_, fields)
 
     blk0 = trans_block(mesh)
@@ -228,7 +227,9 @@ def test_gram_cross_check_catches_a_perturbed_strain(params, power_cells, monkey
         stiffness = ns.P2Space.stiffness
         monkeypatch.setattr(ns.P2Space, "stiffness",
                             lambda space, p: stiffness(space, p) * (1.0 + 1e-6))
-        # the solver assembles K once, so the faulty K enters through a new one
-        cells = replace(cells, solver=ns.DirichletSolver(power_cells.solver.space.mesh, params))
+        # K V comes from the solve, so the faulty K enters through a new one;
+        # scaling K leaves the solved fields as they are, to rounding
+        cells = ns.solve_cell_problems(power_cells.solver.space.mesh, params,
+                                       ns.resolve_phi("affine-x2"))
     with pytest.raises(DecompositionError, match="V\\^T K V"):
         ns.assemble_system(cells)

@@ -17,16 +17,16 @@ def test_rigid_bc_reproduced_exactly(power_mesh, params, alpha):
     # solution; the direct solve reproduces it to 1e-10
     solver = ns.DirichletSolver(power_mesh, params)
     psi = ns.rigid_basis(2)[alpha]
-    (f,), rep = solver.solve({"psi": {BT.INCLUSION_TOP: psi, BT.INCLUSION_BOTTOM: psi,
-                                      BT.OUTER: psi}})
+    (f,), rep, _ = solver.solve({"psi": {BT.INCLUSION_TOP: psi, BT.INCLUSION_BOTTOM: psi,
+                                         BT.OUTER: psi}})
     exact = ns.interpolate(solver.space, psi)
     assert np.abs(f.values - exact.values).max() < 1e-10
     assert rep.rel_residual <= 1e-11
 
 
 def test_zero_bc_gives_zero(power_solver):
-    (f,), rep = power_solver.solve({"zero": {BT.INCLUSION_TOP: 0.0, BT.INCLUSION_BOTTOM: 0.0,
-                                             BT.OUTER: 0.0}})
+    (f,), rep, _ = power_solver.solve({"zero": {BT.INCLUSION_TOP: 0.0, BT.INCLUSION_BOTTOM: 0.0,
+                                                BT.OUTER: 0.0}})
     assert np.all(f.values == 0.0)
     assert rep.method == "trivial"
 
@@ -177,22 +177,19 @@ def test_traction_moment_rejects_a_field_on_another_mesh(power_solver, flat_mesh
         ns.boundary_traction_moment(power_solver, field, BT.OUTER, ns.rigid_basis(2)[:1])
 
 
-def test_stiffness_product_equals_full_k(power_cells, params):
-    """The solver's block product K V equals the assembled K's: bit for bit
-    in the boundary rows, to 1e-13 relative overall, for the solved cell
-    fields, for random columns and for a single vector."""
+def test_solve_returns_k_times_each_field(power_cells, params):
+    """The K V that the block solve returns equals the assembled K times the
+    solved fields: bit for bit in the boundary rows, to 1e-13 relative
+    overall; its free rows are the solve residuals."""
     solver = power_cells.solver
     k = solver.space.stiffness(params)
-    cell_fields = [power_cells.v[key] for key in sorted(power_cells.v)] + [power_cells.v3]
-    blocks = [np.column_stack([f.vec() for f in cell_fields]),
-              rng(3).standard_normal((k.shape[0], 4)),
-              power_cells.v3.vec()]
-    for v in blocks:
-        want = k @ v
-        got = solver.stiffness_product(v)
-        assert got.shape == want.shape
-        assert np.array_equal(got[solver.bdofs], want[solver.bdofs])
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    fields = [power_cells.v[key] for key in sorted(power_cells.v)] + [power_cells.v3]
+    want = k @ np.column_stack([f.vec() for f in fields])
+    got = power_cells.kv
+    assert got.shape == want.shape == (k.shape[0], 7)
+    assert np.array_equal(got[solver.bdofs], want[solver.bdofs])
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.abs(got[solver.fdofs]).max() <= 1e-10 * np.abs(got).max()
 
 
 def _full_k_traction_moment(params, field, tag, motion):
@@ -263,8 +260,8 @@ def test_h_convergence_under_refinement(power_profile, params):
     energies = []
     for _ in range(3):
         ds = ns.DirichletSolver(mesh, params)
-        (v11,), _ = ds.solve({"v1^1": {BT.INCLUSION_TOP: ns.rigid_basis(2)[0],
-                                       BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0}})
+        (v11,), _, _ = ds.solve({"v1^1": {BT.INCLUSION_TOP: ns.rigid_basis(2)[0],
+                                          BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0}})
         energies.append(ns.energy_integral(params, [v11])[0, 0])
         mesh = _red_split(mesh)
     e0, e1, e2 = energies
@@ -339,8 +336,8 @@ def test_field_export_matches_per_line_writer(tmp_path, power_cells):
 
 
 def test_solve_report_fields(power_solver):
-    (f,), rep = power_solver.solve({"v1^1": {BT.INCLUSION_TOP: ns.rigid_basis(2)[0],
-                                             BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0}})
+    (f,), rep, _ = power_solver.solve({"v1^1": {BT.INCLUSION_TOP: ns.rigid_basis(2)[0],
+                                                BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0}})
     assert (rep.method, rep.iterations) == ("direct", 0)
     assert rep.rel_residual <= 1e-10
 
@@ -385,7 +382,7 @@ def _pcg_only(monkeypatch):
 def test_block_pcg_equals_one_cg_per_column(power_mesh, params, monkeypatch):
     _pcg_only(monkeypatch)
     solver = ns.DirichletSolver(power_mesh, params)
-    fields, rep = solver.solve(_cell_bcs(ns.resolve_phi("shear-twist")))
+    fields, rep, _ = solver.solve(_cell_bcs(ns.resolve_phi("shear-twist")))
     oracle = _cg_oracle(solver, fields)
     for f, (x, _) in zip(fields, oracle):
         assert np.array_equal(f.vec()[solver.fdofs], x)
@@ -410,7 +407,7 @@ def test_block_pcg_applies_ilu_once_per_iteration(power_mesh, params, monkeypatc
     _pcg_only(monkeypatch)
     solver = ns.DirichletSolver(power_mesh, params)
     bcs = _cell_bcs(ns.resolve_phi("affine-x2"))
-    _, rep = solver.solve(bcs)
+    _, rep, _ = solver.solve(bcs)
     assert len(solve_calls) == rep.iterations > 0
     assert solve_calls[0] == (solver.fdofs.size, len(bcs))
 
@@ -418,8 +415,8 @@ def test_block_pcg_applies_ilu_once_per_iteration(power_mesh, params, monkeypatc
 def test_zero_load_column_is_zero_and_leaves_others_unchanged(power_solver):
     zero = {BT.INCLUSION_TOP: 0.0, BT.INCLUSION_BOTTOM: 0.0, BT.OUTER: 0.0}
     a, b, c = list(_cell_bcs(ns.resolve_phi("affine-x2")).values())[:3]
-    base, rep = power_solver.solve({"a": a, "b": b, "c": c})
-    got, rep0 = power_solver.solve({"a": a, "zero": zero, "b": b, "c": c})
+    base, rep, _ = power_solver.solve({"a": a, "b": b, "c": c})
+    got, rep0, _ = power_solver.solve({"a": a, "zero": zero, "b": b, "c": c})
     assert np.all(got[1].values == 0.0)
     for f, e in zip(got[:1] + got[2:], base):
         assert np.array_equal(f.values, e.values)
@@ -431,7 +428,7 @@ def test_pcg_give_up_falls_back_to_direct(power_mesh, params, monkeypatch):
     bcs = {f"v1^{psi.index}": {BT.INCLUSION_TOP: psi, BT.INCLUSION_BOTTOM: 0.0,
                                BT.OUTER: 0.0}
            for psi in ns.rigid_basis(2)}
-    expected, _ = ns.DirichletSolver(power_mesh, params).solve(bcs)
+    expected, _, _ = ns.DirichletSolver(power_mesh, params).solve(bcs)
 
     factor, factored = ns.fem._factor, []
 
@@ -442,7 +439,7 @@ def test_pcg_give_up_falls_back_to_direct(power_mesh, params, monkeypatch):
     _pcg_only(monkeypatch)
     monkeypatch.setattr(ns.fem, "_PCG_MAXITER", 1)
     monkeypatch.setattr(ns.fem, "_factor", counting_factor)
-    got, rep = ns.DirichletSolver(power_mesh, params).solve(bcs)
+    got, rep, _ = ns.DirichletSolver(power_mesh, params).solve(bcs)
     assert rep.method == "pcg->direct"
     assert len(factored) == 1       # the fallback factors through _factor
     assert rep.iterations == 1
@@ -458,7 +455,7 @@ def test_a_solve_off_by_1e_6_in_one_column_raises_naming_it(power_mesh, params,
     second column by 1 + 1e-6 leaves that column a relative residual of
     1e-6, and the solve raises naming it; the true factor passes."""
     bcs = _cell_bcs(ns.resolve_phi("shear-twist"))
-    _, rep = ns.DirichletSolver(power_mesh, params).solve(bcs)
+    _, rep, _ = ns.DirichletSolver(power_mesh, params).solve(bcs)
     assert rep.rel_residual <= 1e-10
     factor = ns.fem._factor
 
@@ -478,11 +475,11 @@ def test_a_solve_off_by_1e_6_in_one_column_raises_naming_it(power_mesh, params,
 
 def test_direct_fields_equal_the_block_pcg_fields(power_mesh, params, monkeypatch):
     bcs = _cell_bcs(ns.resolve_phi("shear-twist"))
-    direct, rep = ns.DirichletSolver(power_mesh, params).solve(bcs)
+    direct, rep, _ = ns.DirichletSolver(power_mesh, params).solve(bcs)
     assert (rep.method, rep.iterations) == ("direct", 0)
     assert rep.rel_residual <= 1e-12
     _pcg_only(monkeypatch)
-    pcg, rep = ns.DirichletSolver(power_mesh, params).solve(bcs)
+    pcg, rep, _ = ns.DirichletSolver(power_mesh, params).solve(bcs)
     assert rep.method == "pcg"
     for d, p in zip(direct, pcg):
         assert np.abs(d.values - p.values).max() <= 1e-9 * np.abs(p.values).max()
@@ -503,7 +500,7 @@ def test_nearly_incompressible_factor_keeps_its_fill(power_mesh, monkeypatch):
     monkeypatch.setattr(ns.fem.spla, "splu", recording_splu)
     bcs = _cell_bcs(ns.resolve_phi("affine-x2"))
     for lam in (1.0, 1000.0):
-        _, rep = ns.DirichletSolver(power_mesh, ns.ElasticParams(lam, 1.0)).solve(bcs)
+        _, rep, _ = ns.DirichletSolver(power_mesh, ns.ElasticParams(lam, 1.0)).solve(bcs)
         assert rep.method == "direct"
     assert len(nnz) == 2
     assert nnz[1] <= 1.1 * nnz[0]
@@ -701,8 +698,8 @@ def test_lattice_order_cuts_the_fill_and_keeps_the_fields(request, which, params
     ascending = np.flatnonzero(~np.isin(np.arange(2 * solver.space.n_scalar), solver.bdofs))
     assert np.array_equal(np.sort(solver.fdofs), ascending)
     assert np.array_equal(solver.fdofs[1::2], solver.fdofs[0::2] + 1)
-    nd, _ = solver.solve(bcs)
-    mmd, _ = ns.DirichletSolver(bare, params).solve(bcs)
+    nd, _, _ = solver.solve(bcs)
+    mmd, _, _ = ns.DirichletSolver(bare, params).solve(bcs)
     (spec_nd, nnz_nd), (spec_mmd, nnz_mmd) = factors
     assert (spec_nd, spec_mmd) == ("NATURAL", "MMD_AT_PLUS_A")
     assert nnz_nd <= 0.75 * nnz_mmd
@@ -724,12 +721,12 @@ def test_a_mesh_with_no_lattice_solves_in_mmd_order_to_the_same_fields(power_mes
            for al in range(2)}
     solver = ns.DirichletSolver(power_mesh, params)
     assert solver.lattice_ordered
-    expected, _ = solver.solve(bcs)
+    expected, _, _ = solver.solve(bcs)
     for mesh in (ns.load_mesh(path), shifted):
         assert mesh.lattice is None
         solver = ns.DirichletSolver(mesh, params)
         assert not solver.lattice_ordered
-        got, rep = solver.solve(bcs)
+        got, rep, _ = solver.solve(bcs)
         assert rep.method == "direct"
         for f, e in zip(got, expected):
             assert np.abs(f.values - e.values).max() <= 1e-12 * np.abs(e.values).max()

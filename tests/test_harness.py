@@ -311,6 +311,14 @@ def test_config_file_rejects_a_field_set_twice(tmp_path, monkeypatch, first, aga
         main(["mesh", "--config", str(path)])
 
 
+@pytest.mark.parametrize("first, again", [("profile", "kind"), ("kind", "profile")])
+def test_config_mapping_rejects_a_field_set_twice(first, again):
+    # the later key used to win silently, so the key order chose the kind
+    message = f"^config keys {first!r} and {again!r} both set 'kind'$"
+    with pytest.raises(HarnessError, match=message):
+        config_from_mapping({first: "flat", again: "power"})
+
+
 def test_config_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("no equals sign here\n")

@@ -122,6 +122,38 @@ def test_star_shape_error_names_the_junction_bound(kind, shape, eps, law):
         ns.build_mesh(p)
 
 
+def _apex_message(apex, kappa0):
+    return (rf"^closure arc apex at x2 = {apex} is not inside the outer circle of radius 5 "
+            rf"\(kappa0 = {kappa0}, r_neck = 1, eps = 0\.001\)$")
+
+
+def test_an_apex_outside_the_outer_circle_fails_before_any_node_is_built(monkeypatch):
+    # the whole annulus used to be built before validate_mesh found its
+    # inverted cells
+    def fail(*args):
+        raise AssertionError("meshing went on past the apex check")
+
+    monkeypatch.setattr(ns.meshing, "_radial_spacings", fail)
+    monkeypatch.setattr(ns.meshing, "_arc_interior_nodes", fail)
+    p = ns.make_profile("power", epsilon=1e-3, m=2.0, kappa0=0.4)
+    with pytest.raises(MeshingError, match=_apex_message(r"5\.394", r"0\.4")):
+        ns.build_mesh(p)
+
+
+def test_a_far_apex_names_the_outer_circle_not_a_degenerate_cell():
+    # it used to fail with "degenerate or inverted cell near (0.01807, 17.88)"
+    p = ns.make_profile("power", epsilon=1e-3, m=2.0, kappa0=0.1)
+    with pytest.raises(MeshingError, match=_apex_message(r"20\.1", r"0\.1")):
+        ns.build_mesh(p)
+
+
+def test_an_apex_inside_the_outer_circle_still_meshes():
+    p = ns.make_profile("power", epsilon=1e-3, m=2.0, kappa0=0.5)
+    mesh = ns.build_mesh(p, COARSE)
+    assert mesh.meta["arc_center_y"] + mesh.meta["arc_radius"] == pytest.approx(4.487, abs=1e-3)
+    assert np.all(mesh.signed_areas() > 0.0)
+
+
 @pytest.mark.parametrize("n_radial", [0, -1])
 def test_n_radial_below_one_is_rejected(n_radial):
     # these used to mesh silently, with the rings of n_radial = 1
