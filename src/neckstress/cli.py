@@ -4,7 +4,8 @@ Subcommands: ``mesh`` (emit a mesh), ``solve`` (full pipeline at one gap
 width), ``sweep`` (full experiment), ``fit`` (post-process a sweep CSV),
 ``oracle`` (quadrature-vs-scaling-law table, any dimension).  Options may
 also come from a declarative ``key = value`` config file; explicit flags
-override the file.
+override the file.  The console script and ``python -m neckstress`` run
+:func:`run`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import asymptotics as asy
+from .elasticity import ElasticityError
+from .geometry import GeometryError
 from .harness import (
     TEXT_COLUMNS,
     ExperimentConfig,
@@ -33,7 +36,7 @@ from .harness import (
     sweep_summary,
     write_csv,
 )
-from .meshing import build_mesh, save_mesh
+from .meshing import MeshingError, build_mesh, save_mesh
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -177,6 +180,21 @@ def main(argv=None) -> int:
     raise AssertionError("unreachable")
 
 
+# the package's errors that name a bad input rather than a fault of the code
+_INPUT_ERRORS = (GeometryError, MeshingError, HarnessError, ElasticityError,
+                 asy.AsymptoticsError)
+
+
+def run(argv=None) -> int:
+    """:func:`main`, with an input error printed as one stderr line,
+    ``neckstress: <Type>: <message>``, and exit status 1."""
+    try:
+        return main(argv)
+    except _INPUT_ERRORS as exc:
+        print(f"neckstress: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+
+
 # the oracle table's gap widths, and the largest deviation of a fitted slope
 # from its law's exponent that passes
 _ORACLE_EPS = np.logspace(-2.0, -6.0, 9)
@@ -209,7 +227,3 @@ def oracle_table(dims, orders) -> dict:
                 })
     return {"lines": lines, "cases": cases, "n_pass": sum(c["pass"] for c in cases),
             "n_cases": len(cases), "tolerance": _ORACLE_TOL}
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -272,9 +272,7 @@ class P2Space:
             sel = mesh.edges[mesh.edge_tags == int(tag)]
             be = np.sort(sel, axis=1)
             bkey = be[:, 0] * n + be[:, 1]
-            pos = np.searchsorted(key, bkey)
-            if np.any(key[np.minimum(pos, key.size - 1)] != bkey):
-                raise FemError("boundary edge missing from mesh edge set")
+            pos = np.searchsorted(key, bkey)   # a Mesh's tagged edges are cell edges
             dofs = np.concatenate([sel.ravel(), self.n_vertex + pos])
             self._tag_dofs[int(tag)] = np.unique(dofs)
         self.dirichlet_scalar = np.unique(np.concatenate(list(self._tag_dofs.values())))
@@ -349,11 +347,8 @@ def _evaluate_bc(bc_spec, points: np.ndarray) -> np.ndarray:
             raise FemError(
                 f"boundary data returned shape {out.shape}, expected {points.shape}")
         return out
-    arr = np.asarray(bc_spec, dtype=float)
-    if arr.ndim == 0 and arr == 0.0:
+    if np.ndim(bc_spec) == 0 and bc_spec == 0.0:
         return np.zeros_like(points)
-    if arr.shape == (2,):
-        return np.broadcast_to(arr, points.shape).copy()
     raise FemError(f"cannot interpret boundary data {bc_spec!r}")
 
 

@@ -103,8 +103,8 @@ class ExperimentConfig:
         object.__setattr__(self, "eps_list", eps)
         resolve_phi(self.phi)   # validates the selector
         ElasticParams(self.lam, 1.0)    # validates the ratio
-        # validates the geometry at every eps; the kind is stored as the
-        # profile spells it, so "FLAT" reads as "flat" everywhere
+        # no profile check depends on eps, so eps[0] validates the geometry;
+        # the kind is stored as the profile spells it: "FLAT" reads as "flat"
         object.__setattr__(self, "kind", self.profile_for(eps[0]).kind.value)
         if asy.predicted_rate(2, self.geometry_for_rates()).log_factor and eps[0] >= 1.0:
             raise HarnessError(f"eps_list values must be < 1 under a |log eps| law, got {eps[0]!r}")
@@ -392,23 +392,18 @@ DIAG_ENTRIES = {"11": (1, 1), "22": (2, 2), "33": (3, 3)}
 OFFDIAG_ENTRIES = {"12": (1, 2), "13": (1, 3), "23": (2, 3)}
 
 
-def _entry_envelope(geometry, al: int, be: int):
-    """The rho law of the a11 entry (al, be) (None under flat contact) and
-    the analytic terms whose nonnegative combination bounds it.  A diagonal
-    entry's universal constants are unknown, so each of its terms carries a
-    calibration constant fitted per experiment; an off-diagonal entry has
-    the one term of its upper bound."""
+def _entry_envelope(geometry, al: int):
+    """The rho law of the diagonal a11 entry (al, al) (None under flat
+    contact) and the analytic terms whose nonnegative combination bounds
+    it.  The universal constants are unknown, so each term carries a
+    calibration constant fitted per experiment."""
     kind, value = geometry
     if kind == "flat":
-        if al != be:
-            return None, [lambda e: asy.flat_entry_oracle(2, value, e, (al, be))]
         if al <= 2:
             return None, [lambda e: value / e, lambda e: e ** -0.5, lambda e: 1.0]
         return None, [lambda e: value ** 3 / e, lambda e: 1.0]
-    _, _, rho_kind, k = asy.entry_case(2, al, be)
+    _, _, rho_kind, k = asy.entry_case(2, al, al)
     law = asy.rho_law(rho_kind, k, value)
-    if al != be:
-        return law, [lambda e: asy.rho(rho_kind, k, value, e)]
     return law, [lambda e: asy.rho(rho_kind, k, value, e), lambda e: 1.0]
 
 
@@ -435,23 +430,19 @@ def compare_oracles(config: ExperimentConfig, rows: list[dict]) -> dict:
     Diagonal entries obey two-sided scaling laws: the envelope terms are
     first calibrated (nonnegative least squares; the universal constants are
     not explicit) and the measured slope is compared against the calibrated
-    envelope's slope.  Off-diagonals are upper bounds only; for the
-    mirror-symmetric geometry built here their exact values vanish, so they
-    are reported as bound-satisfaction ratios instead of slopes.
+    envelope's slope.  Off-diagonals are upper bounds only and are not
+    compared.
     """
     ok = [r for r in rows if r["status"] == "ok"]
     if len(ok) < 4:
         raise HarnessError("need at least 4 successful rows to compare")
     geometry = config.geometry_for_rates()
-    report = {"entries": {}, "offdiag": {}}
+    report = {"entries": {}}
 
-    for lab, (al, be) in DIAG_ENTRIES.items():
+    for lab, (al, _) in DIAG_ENTRIES.items():
         meas = [(r["eps"], r[f"a11_{lab}"]) for r in ok]
-        if any(v <= 0 for _, v in meas):
-            report["entries"][lab] = {"pass": False, "reason": "nonpositive diagonal"}
-            continue
         eps, vals = zip(*meas)
-        law, terms = _entry_envelope(geometry, al, be)
+        law, terms = _entry_envelope(geometry, al)
         coeffs, fitted, rel_misfit = _calibrated_envelope(terms, eps, vals)
         pred_fit = fit_rate(list(zip(eps, fitted)), law)
         meas_fit = fit_rate(meas, law)
@@ -467,17 +458,6 @@ def compare_oracles(config: ExperimentConfig, rows: list[dict]) -> dict:
             "deviation": dev,
             "tolerance": use_tol,
             "pass": bool(dev <= use_tol),
-        }
-
-    for lab, (al, be) in OFFDIAG_ENTRIES.items():
-        vals = np.array([abs(r[f"a11_{lab}"]) for r in ok])
-        _, (bound,) = _entry_envelope(geometry, al, be)
-        env = np.array([bound(r["eps"]) for r in ok])
-        ratios = vals / env
-        report["offdiag"][lab] = {
-            "max_ratio": float(ratios.max()),
-            "ratio_growth": float(ratios[-1] / max(ratios[0], 1e-300)),
-            "bounded": bool(ratios.max() <= max(10.0 * ratios[0], 1e-6) or vals.max() < 1e-8 * max(abs(r["a11_11"]) for r in ok)),
         }
     report["pass"] = all(e.get("pass", False) for e in report["entries"].values())
     return report

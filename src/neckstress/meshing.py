@@ -127,7 +127,8 @@ class Mesh:
     ``nodes`` is (n, 2), ``cells`` (m, 3) with positive orientation,
     ``edges`` (k, 2) the boundary edges with tags in ``edge_tags``.
     Cells [0, n_neck_cells) are the neck block.  Immutable after
-    construction (arrays are set read-only).
+    construction (arrays are set read-only), and valid: built, loaded or
+    hand-made, every mesh has passed :func:`validate_mesh` on construction.
 
     ``lattice`` (n, 4) is each node's place on the two structured blocks
     of :func:`build_mesh`: (column, layer) on the neck block and (ring
@@ -149,6 +150,7 @@ class Mesh:
         for a in (self.nodes, self.cells, self.edges, self.edge_tags, self.lattice):
             if a is not None:
                 a.setflags(write=False)
+        validate_mesh(self)
 
     @property
     def n_nodes(self) -> int:
@@ -322,8 +324,8 @@ def build_mesh(profile: NeckProfile, config: GradingConfig | None = None) -> Mes
     closure arc's apex is not strictly inside the outer circle (checked
     before any node is built), when the grading needs more than
     ``_MAX_CELLS`` cells, when the generated blob boundary fails the
-    star-shapedness check, or when :func:`validate_mesh` finds a degenerate
-    or inverted cell.
+    star-shapedness check, or when the :class:`Mesh` constructor's
+    :func:`validate_mesh` finds a degenerate or inverted cell.
     """
     if config is None:
         config = GradingConfig()
@@ -465,14 +467,19 @@ def build_mesh(profile: NeckProfile, config: GradingConfig | None = None) -> Mes
         "dx_min": float(dx.min()),
         "dx_max": float(dx.max()),
     }
-    mesh = Mesh(all_nodes, all_cells, edges, tags, meta, lattice)
-    validate_mesh(mesh)
-    return mesh
+    return Mesh(all_nodes, all_cells, edges, tags, meta, lattice)
 
 
 def validate_mesh(mesh: Mesh):
-    """Structural invariants: orientation (the one check of built and
-    loaded meshes, naming the worst cell), tag integrity, closed tag curves."""
+    """Structural invariants, checked by every :class:`Mesh` on
+    construction: node ids in range (naming the first bad row), orientation
+    (naming the worst cell), tag integrity, closed tag curves, and tagged
+    edges on the boundary."""
+    n = mesh.n_nodes
+    for name, ids in (("cell", mesh.cells), ("edge", mesh.edges)):
+        if ids.size and (ids.min() < 0 or ids.max() >= n):
+            i = int(np.flatnonzero(((ids < 0) | (ids >= n)).any(axis=1))[0])
+            raise MeshingError(f"{name} {i} has node ids {ids[i].tolist()} outside 0..{n - 1}")
     areas = mesh.signed_areas()
     if np.any(areas <= 0.0):
         c = mesh.nodes[mesh.cells[int(np.argmin(areas))]].mean(axis=0)
@@ -534,7 +541,8 @@ def dumps_mesh(mesh: Mesh) -> str:
 
 
 def load_mesh(path: str) -> Mesh:
-    """Read a mesh written by :func:`save_mesh` and validate it.
+    """Read a mesh written by :func:`save_mesh`; the :class:`Mesh`
+    constructor validates it.
 
     A missing or malformed block header, a truncated block, or a row that
     does not parse raises :class:`MeshingError` naming the path and block.
@@ -600,6 +608,4 @@ def load_mesh(path: str) -> Mesh:
         except ValueError:
             raise MeshingError(f"{path}: bad row in 'meta' block: {r!r}") from None
 
-    mesh = Mesh(nodes, cells, edges, tags, meta)
-    validate_mesh(mesh)
-    return mesh
+    return Mesh(nodes, cells, edges, tags, meta)

@@ -1,14 +1,20 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from operator import attrgetter
+from pathlib import Path
 
 import pytest
 
 import neckstress.fem
 from neckstress import load_mesh, read_csv
 from neckstress.asymptotics import AsymptoticsError
-from neckstress.cli import main, oracle_table
+from neckstress.cli import main, oracle_table, run
 from neckstress.harness import HarnessError, config_from_mapping
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_mesh_subcommand(tmp_path, capsys):
@@ -228,6 +234,41 @@ def test_sweep_raises_a_fault_of_the_gram_entry_comparison(monkeypatch):
     monkeypatch.setattr(neckstress.cli, "compare_oracles", broken)
     with pytest.raises(RuntimeError, match="^comparison fault$"):
         main(["sweep"])
+
+
+def test_the_command_ends_an_input_error_with_one_line(tmp_path):
+    # the apex case used to end in a traceback through cli.py and build_mesh
+    res = subprocess.run([sys.executable, "-m", "neckstress", "mesh", "--kappa0", "0.1",
+                          "--eps", "1e-3"], cwd=tmp_path, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr == ("neckstress: MeshingError: closure arc apex at x2 = 20.1 is not "
+                          "inside the outer circle of radius 5 (kappa0 = 0.1, r_neck = 1, "
+                          "eps = 0.001)\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mesh", "--profile", "power", "--r0", "0.3"],
+     "GeometryError: r0 is a Flat-kind parameter; Power requires r0 = 0"),
+    (["oracle", "--dims", "2", "--orders", "inf"],
+     "AsymptoticsError: rho requires a finite m >= 2, got inf"),
+], ids=["geometry", "asymptotics"])
+def test_run_prints_a_typed_input_error_and_returns_1(capsys, argv, message):
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"neckstress: {message}\n"
+
+
+def test_run_keeps_the_traceback_of_any_other_error(monkeypatch):
+    monkeypatch.setattr(neckstress.cli, "build_mesh", lambda *args: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        run(["mesh"])
+
+
+def test_the_console_script_runs_the_entry_that_catches_input_errors():
+    tomllib = pytest.importorskip("tomllib")
+    with open(SRC.parent / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts == {"neckstress": "neckstress.cli:run"}
 
 
 @pytest.mark.parametrize("line,field,value", [

@@ -57,7 +57,8 @@ def test_gradient_at_rigid_rotation(power_solver):
 
 
 def test_gradient_at_constant_field(power_solver):
-    field = ns.interpolate(power_solver.space, np.array([0.3, -0.7]))
+    field = ns.interpolate(power_solver.space,
+                           lambda pts: np.broadcast_to([0.3, -0.7], pts.shape))
     g = ns.gradient_at(field, np.array([-2.5, 1.2]))
     assert np.allclose(g, 0.0, atol=1e-12)
 
@@ -152,8 +153,8 @@ def test_energy_integral_rigid_orthogonal(params, power_cells):
 
 def test_energy_integral_mesh_mismatch(power_mesh, params, power_profile):
     other = ns.build_mesh(power_profile, replace(COARSE, budget_scale=2.0 ** 0.5))
-    fa = ns.interpolate(ns.P2Space(power_mesh), np.array([1.0, 0.0]))
-    fb = ns.interpolate(ns.P2Space(other), np.array([1.0, 0.0]))
+    fa = ns.interpolate(ns.P2Space(power_mesh), ns.rigid_basis(2)[0])
+    fb = ns.interpolate(ns.P2Space(other), ns.rigid_basis(2)[0])
     with pytest.raises(FemError):
         ns.energy_integral(params, [fa, fb])
 

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -377,10 +378,9 @@ def test_validate_rejects_untagged_edge(power_mesh):
 def test_validate_rejects_open_tag_curve(power_mesh):
     k = int(np.flatnonzero(power_mesh.edge_tags == BoundaryTag.OUTER)[0])
     keep = np.arange(power_mesh.edges.shape[0]) != k
-    mesh = _corrupt(power_mesh, edges=power_mesh.edges[keep].copy(),
-                    tags=power_mesh.edge_tags[keep].copy())
     with pytest.raises(MeshingError, match="^boundary curve for tag 3 is not closed$"):
-        validate_mesh(mesh)
+        validate_mesh(_corrupt(power_mesh, edges=power_mesh.edges[keep].copy(),
+                               tags=power_mesh.edge_tags[keep].copy()))
 
 
 def test_validate_names_first_tagged_interior_edge(power_mesh):
@@ -395,6 +395,44 @@ def test_validate_names_first_tagged_interior_edge(power_mesh):
     a, b = sorted((int(c[1]), int(c[2])))
     with pytest.raises(MeshingError, match=rf"^tagged edge \({a},{b}\) is not a boundary edge$"):
         validate_mesh(_corrupt(power_mesh, edges=edges, tags=tags))
+
+
+# ---------------------------------------------------------------------------
+# a Mesh is valid by construction
+
+def test_a_mesh_with_an_inverted_neck_cell_is_not_constructed():
+    # it used to construct and solve to a11_11 = 38.662 instead of 38.150
+    mesh = ns.build_mesh(ns.make_profile("power", epsilon=1e-2, m=2.0), COARSE)
+    assert 100 < mesh.grading_report.n_neck_cells
+    cells = mesh.cells.copy()
+    cells[100] = cells[100, [0, 2, 1]]
+    with pytest.raises(MeshingError, match=r"^degenerate or inverted cell near "
+                                           r"\(0\.1545, 0\.008495\)$"):
+        _corrupt(mesh, cells=cells)
+
+
+@pytest.mark.parametrize("block", ["cells", "edges"])
+@pytest.mark.parametrize("bad_id", ["n_nodes", -1])
+def test_a_node_id_out_of_range_is_not_constructed(power_mesh, block, bad_id):
+    n = power_mesh.n_nodes
+    ids = getattr(power_mesh, block).copy()
+    ids[7, 1] = n if bad_id == "n_nodes" else bad_id
+    message = f"{block[:-1]} 7 has node ids {ids[7].tolist()} outside 0..{n - 1}"
+    with pytest.raises(MeshingError, match=f"^{re.escape(message)}$"):
+        _corrupt(power_mesh, **{block: ids})
+
+
+def test_validate_mesh_runs_once_per_mesh_through_the_module_name(
+        monkeypatch, tmp_path, power_profile, power_mesh):
+    # a wrapper bound to meshing.validate_mesh sees every construction
+    seen = []
+    check = ns.meshing.validate_mesh
+    monkeypatch.setattr(ns.meshing, "validate_mesh", lambda mesh: seen.append(check(mesh)))
+    ns.build_mesh(power_profile, COARSE)
+    assert len(seen) == 1
+    ns.save_mesh(power_mesh, str(tmp_path / "m.txt"))
+    ns.load_mesh(str(tmp_path / "m.txt"))
+    assert len(seen) == 2
 
 
 # ---------------------------------------------------------------------------
